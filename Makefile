@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: check lint vet build test allocgate perfgate cover chaos scenarios fuzzsmoke bench perf flight
+.PHONY: check lint vet build test allocgate perfgate cover chaos scenarios fuzzsmoke benchsmoke bench perf flight
 
 # check is the pre-commit gate: static checks, the full suite under the
 # race detector, the datapath allocation gates with a short benchtime
 # pass over every micro-benchmark, the perf-regression gate against the
 # committed baseline, the per-package coverage floors, the chaos seed
-# matrix, and a short fuzz pass over the epoch-carrying wire codec and
-# the metrics exposition encoder.
-check: lint build test allocgate perfgate cover chaos fuzzsmoke
+# matrix, a short fuzz pass over the epoch-carrying wire codec and the
+# metrics exposition encoder, and a smoke run of the end-to-end stack
+# benchmark.
+check: lint build test allocgate perfgate cover chaos fuzzsmoke benchsmoke
 
 # lint is go vet plus staticcheck. staticcheck is not vendored and dev
 # machines may be offline, so it runs only where the binary is already
@@ -96,6 +97,15 @@ fuzzsmoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzQuorumAck -fuzztime 10s
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzExposition -fuzztime 10s
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzPromExposition -fuzztime 10s
+
+# benchsmoke keeps the end-to-end stack benchmark (bench/, BENCHMARK.json)
+# runnable: its own tests, then one short udp-steady run through the
+# driver's entry point. Every run checks its own correctness (exactly-once
+# delivery, payload bytes, no OnLost or Send error) and exits non-zero
+# otherwise; the numbers of a 3 s run mean nothing and are discarded.
+benchsmoke:
+	$(GO) test ./bench/...
+	bash bench/run.sh --workload udp-steady --seed 1 --seconds 3 --trace 0 >/dev/null
 
 # flight runs the chaos matrix with the recovery flight recorder's fleet
 # timeline enabled, writing one JSONL flight log per seed into

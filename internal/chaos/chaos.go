@@ -62,6 +62,7 @@ import (
 	"time"
 
 	"lbrm"
+	"lbrm/internal/logger"
 	"lbrm/internal/netsim"
 	"lbrm/internal/obs"
 	"lbrm/internal/obs/health"
@@ -641,7 +642,7 @@ func Run(cfg Config) (*Result, error) {
 		Replicas:         cfg.Replicas,
 		Regions:          cfg.Regions,
 		Tap:              func(ev lbrm.TapEvent) { boot = append(boot, ev) },
-		Primary:          lbrm.PrimaryConfig{UnsafeNoFence: cfg.disableFencing, Quorum: pq},
+		Primary:          lbrm.PrimaryConfig{Quorum: pq},
 		ConfigureReceiver: func(site, idx int, rcfg *lbrm.ReceiverConfig) {
 			if cfg.flatRevert {
 				// Revert knob: strip the multi-tier chain so the receiver
@@ -750,6 +751,11 @@ func Run(cfg Config) (*Result, error) {
 		h.secondaries = append(h.secondaries, ts.Secondary)
 	}
 	h.primaries = append([]*lbrm.PrimaryLogger{tb.Primary}, tb.Replicas...)
+	if cfg.disableFencing {
+		for _, p := range h.primaries {
+			logger.UnfenceForTest(p)
+		}
+	}
 	h.primaryNodes = append([]*lbrm.SimNode{tb.PrimaryNode}, tb.ReplicaNodes...)
 	h.stoppables = append(h.stoppables, tb.Sender, tb.Primary)
 	for _, r := range tb.Replicas {
@@ -1104,7 +1110,7 @@ func (h *harness) applyFault(f Fault) {
 		node := h.tb.ReplicaNodes[f.Idx]
 		h.crash(node)
 		clk.AfterFunc(f.Dur, func() {
-			rep := lbrm.NewPrimaryLogger(h.tb.ReplicaCfgs[f.Idx])
+			rep := h.newPrimary(h.tb.ReplicaCfgs[f.Idx])
 			h.primaries[1+f.Idx] = rep
 			h.stoppables = append(h.stoppables, rep)
 			node.Restart(rep)
@@ -1121,7 +1127,7 @@ func (h *harness) applyFault(f Fault) {
 			rcfg.Replica = true
 			rcfg.Replicas = nil
 			rcfg.Peers = append([]lbrm.Addr(nil), h.tb.PrimaryCfg.Replicas...)
-			rep := lbrm.NewPrimaryLogger(rcfg)
+			rep := h.newPrimary(rcfg)
 			h.primaries[0] = rep
 			h.stoppables = append(h.stoppables, rep)
 			node.Restart(rep)
@@ -1213,6 +1219,15 @@ func (h *harness) applyFault(f Fault) {
 		heal := h.tb.PrimaryNode.Isolate(up, down)
 		clk.AfterFunc(f.Dur, heal)
 	}
+}
+
+// newPrimary builds a restarted logging server's next incarnation.
+func (h *harness) newPrimary(cfg lbrm.PrimaryConfig) *lbrm.PrimaryLogger {
+	p := lbrm.NewPrimaryLogger(cfg)
+	if h.cfg.disableFencing {
+		logger.UnfenceForTest(p)
+	}
+	return p
 }
 
 // crash takes a node down and forgets its acknowledgement and epoch

@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"lbrm/internal/heartbeat"
@@ -155,35 +156,36 @@ func (c ReceiverConfig) withDefaults() ReceiverConfig {
 	return c
 }
 
-// ReceiverStats counts a receiver's protocol activity.
+// ReceiverStats counts a receiver's protocol activity. Fields tagged obs
+// are registry counters too (see SenderStats).
 type ReceiverStats struct {
-	DataDelivered      uint64
-	Duplicates         uint64
-	HeartbeatsSeen     uint64
-	GapsDetected       uint64
-	NacksSent uint64
+	DataDelivered  uint64 `obs:"recv.delivered"`
+	Duplicates     uint64 `obs:"recv.duplicates"`
+	HeartbeatsSeen uint64 `obs:"recv.heartbeats_seen"`
+	GapsDetected   uint64 `obs:"recv.gaps_detected"`
+	NacksSent      uint64 `obs:"recv.nacks_sent"`
 	// NacksToSecondary counts NACKs to the tier-0 (on-site) logger;
 	// NacksToPrimary counts everything sent beyond the site boundary —
 	// higher chain tiers, the primary, and post-query retries.
-	NacksToSecondary uint64
-	NacksToPrimary   uint64
-	Recovered          uint64
-	RecoveredInline    uint64
-	Escalations        uint64
-	PrimaryQueries     uint64
-	RangesAbandoned    uint64
-	StaleEpisodes      uint64
-	DiscoveryQueries   uint64
+	NacksToSecondary   uint64 `obs:"recv.nacks_to_secondary"`
+	NacksToPrimary     uint64 `obs:"recv.nacks_to_primary"`
+	Recovered          uint64 `obs:"recv.recovered"`
+	RecoveredInline    uint64 `obs:"recv.recovered_inline"`
+	Escalations        uint64 `obs:"recv.escalations"`
+	PrimaryQueries     uint64 `obs:"recv.primary_queries"`
+	RangesAbandoned    uint64 `obs:"recv.ranges_abandoned"`
+	StaleEpisodes      uint64 `obs:"recv.stale_episodes"`
+	DiscoveryQueries   uint64 `obs:"recv.discovery_queries"`
 	DiscoveredLogger   uint64
 	Malformed          uint64
 	OrderedBuffered    uint64
 	OrderedOutOfWindow uint64
 	ChannelJoins       uint64 // retransmission-channel subscriptions (§7)
 	ChannelRecoveries  uint64 // losses healed by channel replays
-	SkippedAhead       uint64 // recovery-window skips (fell too far behind)
-	StaleRedirects     uint64 // redirects fenced by the primary epoch
-	ReparentsFollowed  uint64 // logger-tree announcements adopted
-	StaleReparents     uint64 // logger-tree announcements fenced as stale
+	SkippedAhead       uint64 `obs:"recv.skipped_ahead"`         // recovery-window skips (fell too far behind)
+	StaleRedirects     uint64 `obs:"recv.fence.stale_redirects"` // redirects fenced by the primary epoch
+	ReparentsFollowed  uint64 `obs:"recv.reparents"`             // logger-tree announcements adopted
+	StaleReparents     uint64 `obs:"recv.fence.stale_reparents"` // logger-tree announcements fenced as stale
 }
 
 // Recovery escalation phases. A stream's phase is its position in the
@@ -195,6 +197,7 @@ const phaseSecondary = 0
 
 // Receiver is an LBRM receiver endpoint.
 type Receiver struct {
+	stats     ReceiverStats // first: 64-bit alignment of its words
 	cfg       ReceiverConfig
 	env       transport.Env
 	secondary transport.Addr
@@ -205,7 +208,6 @@ type Receiver struct {
 	tierEpochs   [wire.MaxTier + 1]uint32
 	priEpochHigh uint32
 	streams      map[StreamKey]*rcvStream
-	stats        ReceiverStats
 
 	discovering  bool
 	discoveryTTL int
@@ -235,28 +237,10 @@ type Receiver struct {
 
 // receiverMetrics holds the receiver's preregistered observability handles.
 type receiverMetrics struct {
-	sink             *obs.Sink
-	tx               *obs.ClassCounters
-	delivered        *obs.Counter
-	duplicates       *obs.Counter
-	heartbeats       *obs.Counter
-	gaps             *obs.Counter
-	recovered        *obs.Counter
-	recoveredInline  *obs.Counter
-	nacks            *obs.Counter
-	nacksToSecondary *obs.Counter
-	nacksToPrimary   *obs.Counter
-	escalations      *obs.Counter
-	primaryQueries   *obs.Counter
-	abandoned        *obs.Counter
-	staleEpisodes    *obs.Counter
-	discoveries      *obs.Counter
-	skippedAhead     *obs.Counter
-	staleRedirects   *obs.Counter
-	reparents        *obs.Counter
-	staleReparents   *obs.Counter
-	primaryEpoch     *obs.Gauge
-	recoveryMS       *obs.Histogram
+	sink         *obs.Sink
+	tx           *obs.ClassCounters
+	primaryEpoch *obs.Gauge
+	recoveryMS   *obs.Histogram
 	// pathRTT breaks recoveryMS down by recovery path (indexed by
 	// wire.RecoveryPath; PathNone stays nil).
 	pathRTT [wire.NumRecoveryPaths]*obs.Histogram
@@ -268,28 +252,10 @@ var recoveryBoundsMS = []uint64{1, 5, 10, 25, 50, 100, 250, 500, 1000, 2500}
 
 func newReceiverMetrics(sink *obs.Sink) receiverMetrics {
 	mx := receiverMetrics{
-		sink:             sink,
-		tx:               sink.Classes("recv.tx", wire.TrafficClassNames()),
-		delivered:        sink.Counter("recv.delivered"),
-		duplicates:       sink.Counter("recv.duplicates"),
-		heartbeats:       sink.Counter("recv.heartbeats_seen"),
-		gaps:             sink.Counter("recv.gaps_detected"),
-		recovered:        sink.Counter("recv.recovered"),
-		recoveredInline:  sink.Counter("recv.recovered_inline"),
-		nacks:            sink.Counter("recv.nacks_sent"),
-		nacksToSecondary: sink.Counter("recv.nacks_to_secondary"),
-		nacksToPrimary:   sink.Counter("recv.nacks_to_primary"),
-		escalations:      sink.Counter("recv.escalations"),
-		primaryQueries:   sink.Counter("recv.primary_queries"),
-		abandoned:        sink.Counter("recv.ranges_abandoned"),
-		staleEpisodes:    sink.Counter("recv.stale_episodes"),
-		discoveries:      sink.Counter("recv.discovery_queries"),
-		skippedAhead:     sink.Counter("recv.skipped_ahead"),
-		staleRedirects:   sink.Counter("recv.fence.stale_redirects"),
-		reparents:        sink.Counter("recv.reparents"),
-		staleReparents:   sink.Counter("recv.fence.stale_reparents"),
-		primaryEpoch:     sink.Gauge("recv.primary_epoch"),
-		recoveryMS:       sink.Histogram("recv.recovery_ms", recoveryBoundsMS),
+		sink:         sink,
+		tx:           sink.Classes("recv.tx", wire.TrafficClassNames()),
+		primaryEpoch: sink.Gauge("recv.primary_epoch"),
+		recoveryMS:   sink.Histogram("recv.recovery_ms", recoveryBoundsMS),
 	}
 	for p := wire.PathLocal; p < wire.NumRecoveryPaths; p++ {
 		mx.pathRTT[p] = sink.Histogram("recv.recovery."+p.MetricName()+"_ms", recoveryBoundsMS)
@@ -355,6 +321,7 @@ func NewReceiver(cfg ReceiverConfig) *Receiver {
 	if len(r.chain) > 0 {
 		r.secondary = r.chain[0]
 	}
+	cfg.Obs.Registry().AttachStats(&r.stats)
 	return r
 }
 
@@ -379,6 +346,7 @@ func (r *Receiver) Stats() ReceiverStats { return r.stats }
 // and incoming packets are ignored. Safe to call once.
 func (r *Receiver) Stop() {
 	r.stopped = true
+	r.cfg.Obs.Registry().DetachStats(&r.stats)
 	for _, st := range r.streams {
 		if st.staleTimer != nil {
 			st.staleTimer.Stop()
@@ -540,14 +508,12 @@ func (r *Receiver) onData(from transport.Addr, p *wire.Packet) {
 // transmission).
 func (r *Receiver) ingest(st *rcvStream, seq uint64, payload []byte, path wire.RecoveryPath) {
 	if !st.track.Mark(seq) {
-		r.stats.Duplicates++
-		r.mx.duplicates.Inc()
+		atomic.AddUint64(&r.stats.Duplicates, 1)
 		return
 	}
 	retrans := path != wire.PathNone
 	if retrans {
-		r.stats.Recovered++
-		r.mx.recovered.Inc()
+		atomic.AddUint64(&r.stats.Recovered, 1)
 		if r.channelJoined {
 			r.stats.ChannelRecoveries++
 		}
@@ -576,8 +542,7 @@ func (r *Receiver) ingest(st *rcvStream, seq uint64, payload []byte, path wire.R
 }
 
 func (r *Receiver) deliver(st *rcvStream, seq uint64, payload []byte, retrans bool) {
-	r.stats.DataDelivered++
-	r.mx.delivered.Inc()
+	atomic.AddUint64(&r.stats.DataDelivered, 1)
 	if r.cfg.OnData != nil {
 		r.cfg.OnData(Event{Stream: st.key, Seq: seq, Payload: payload, Retransmitted: retrans})
 	}
@@ -614,8 +579,7 @@ func (r *Receiver) deliverOrdered(st *rcvStream, seq uint64, payload []byte, ret
 func (r *Receiver) onHeartbeat(from transport.Addr, p *wire.Packet) {
 	st := r.stream(StreamKey{Source: p.Source, Group: p.Group})
 	st.source = from
-	r.stats.HeartbeatsSeen++
-	r.mx.heartbeats.Inc()
+	atomic.AddUint64(&r.stats.HeartbeatsSeen, 1)
 	if p.PrimaryEpoch > st.primaryEpoch {
 		r.mx.sink.Emit(r.now(), obs.KindEpochBump, uint64(st.primaryEpoch), uint64(p.PrimaryEpoch), 0)
 		st.primaryEpoch = p.PrimaryEpoch
@@ -632,8 +596,7 @@ func (r *Receiver) onHeartbeat(from transport.Addr, p *wire.Packet) {
 		st.hbHigh = p.Seq
 	}
 	if p.Flags&wire.FlagInlineData != 0 && p.Seq > 0 && !st.track.Seen(p.Seq) {
-		r.stats.RecoveredInline++
-		r.mx.recoveredInline.Inc()
+		atomic.AddUint64(&r.stats.RecoveredInline, 1)
 		r.ingest(st, p.Seq, p.Payload, wire.ClassifyRecovery(p.Type, p.Flags))
 		return
 	}
@@ -673,8 +636,7 @@ func (r *Receiver) clampWindow(st *rcvStream) {
 			}
 		}
 	}
-	r.stats.SkippedAhead++
-	r.mx.skippedAhead.Inc()
+	atomic.AddUint64(&r.stats.SkippedAhead, 1)
 	r.mx.sink.Emit(r.now(), obs.KindSkipAhead, contig, skipTo, 0)
 	if r.cfg.OnLost != nil {
 		r.cfg.OnLost(st.key, wire.SeqRange{From: contig + 1, To: skipTo})
@@ -694,8 +656,7 @@ func (r *Receiver) checkGaps(st *rcvStream) {
 		for seq := rg.From; seq <= rg.To; seq++ {
 			if _, ok := st.gapSince[seq]; !ok {
 				st.gapSince[seq] = now
-				r.stats.GapsDetected++
-				r.mx.gaps.Inc()
+				atomic.AddUint64(&r.stats.GapsDetected, 1)
 				// The gap is heartbeat-revealed when nothing above it has
 				// arrived as data (the heartbeat's seq pushed hbHigh past
 				// the highest received packet).
@@ -851,8 +812,7 @@ func (r *Receiver) requestRetransmission(st *rcvStream) {
 	r.scratch = buf
 	r.mx.tx.Record(int(wire.ClassNack), len(buf))
 	_ = r.env.Send(target, buf)
-	r.stats.NacksSent++
-	r.mx.nacks.Inc()
+	atomic.AddUint64(&r.stats.NacksSent, 1)
 	if r.mx.sink != nil {
 		nowNS := r.now()
 		for _, rg := range miss {
@@ -865,11 +825,9 @@ func (r *Receiver) requestRetransmission(st *rcvStream) {
 	// crosses the site boundary and lands in NacksToPrimary, preserving the
 	// §2.2.2 tail-circuit NACK-budget identity in multi-tier chains.
 	if st.phase == 0 {
-		r.stats.NacksToSecondary++
-		r.mx.nacksToSecondary.Inc()
+		atomic.AddUint64(&r.stats.NacksToSecondary, 1)
 	} else {
-		r.stats.NacksToPrimary++
-		r.mx.nacksToPrimary.Inc()
+		atomic.AddUint64(&r.stats.NacksToPrimary, 1)
 	}
 	st.retries++
 	// Jittered exponential backoff: a site full of receivers that lost the
@@ -906,8 +864,7 @@ func (r *Receiver) escalate(st *rcvStream, miss []wire.SeqRange) {
 	case st.phase < r.numTiers():
 		st.phase++
 		st.retries = 0
-		r.stats.Escalations++
-		r.mx.escalations.Inc()
+		atomic.AddUint64(&r.stats.Escalations, 1)
 		r.requestRetransmission(st)
 	case st.phase == r.phasePrimary():
 		st.phase = r.phaseQueried()
@@ -920,8 +877,7 @@ func (r *Receiver) escalate(st *rcvStream, miss []wire.SeqRange) {
 				r.scratch = buf
 				r.mx.tx.Record(int(wire.ClassControl), len(buf))
 				_ = r.env.Send(st.source, buf)
-				r.stats.PrimaryQueries++
-				r.mx.primaryQueries.Inc()
+				atomic.AddUint64(&r.stats.PrimaryQueries, 1)
 			}
 			// Give the redirect a round trip before retrying the primary.
 			// The shared retryFire path applies: phase is phaseQueried with
@@ -956,8 +912,7 @@ func (r *Receiver) abandon(st *rcvStream, miss []wire.SeqRange) {
 			}
 			st.track.Mark(seq)
 		}
-		r.stats.RangesAbandoned++
-		r.mx.abandoned.Inc()
+		atomic.AddUint64(&r.stats.RangesAbandoned, 1)
 		if r.cfg.OnLost != nil {
 			r.cfg.OnLost(st.key, rg)
 		}
@@ -1007,8 +962,7 @@ func (r *Receiver) touch(st *rcvStream, p *wire.Packet) {
 	}
 	st.staleTimer = r.after(wait, func() {
 		st.stale = true
-		r.stats.StaleEpisodes++
-		r.mx.staleEpisodes.Inc()
+		atomic.AddUint64(&r.stats.StaleEpisodes, 1)
 		if r.cfg.OnStale != nil {
 			r.cfg.OnStale(st.key, r.env.Now().Sub(st.lastArrival))
 		}
@@ -1053,8 +1007,7 @@ func (r *Receiver) discoverLogger(ttl int) {
 	r.scratch = buf
 	r.mx.tx.Record(int(wire.ClassControl), len(buf))
 	_ = r.env.Multicast(r.cfg.Group, ttl, buf)
-	r.stats.DiscoveryQueries++
-	r.mx.discoveries.Inc()
+	atomic.AddUint64(&r.stats.DiscoveryQueries, 1)
 	r.after(r.cfg.DiscoveryTimeout, func() {
 		if r.secondary != nil || !r.discovering {
 			return
@@ -1097,8 +1050,7 @@ func (r *Receiver) onRedirect(p *wire.Packet) {
 	// (e.g. one acking into a healed partition). It must not move our
 	// recovery target.
 	if p.Epoch < st.primaryEpoch {
-		r.stats.StaleRedirects++
-		r.mx.staleRedirects.Inc()
+		atomic.AddUint64(&r.stats.StaleRedirects, 1)
 		r.mx.sink.Emit(r.now(), obs.KindFenceHit, uint64(st.primaryEpoch), uint64(p.Epoch), uint64(p.Type))
 		return
 	}
@@ -1155,8 +1107,7 @@ func (r *Receiver) onReparent(p *wire.Packet) {
 		return
 	}
 	if (p.Epoch != 0 && p.Epoch < r.priEpochHigh) || p.TreeEpoch <= r.tierEpochs[t] {
-		r.stats.StaleReparents++
-		r.mx.staleReparents.Inc()
+		atomic.AddUint64(&r.stats.StaleReparents, 1)
 		r.mx.sink.Emit(r.now(), obs.KindReparent, uint64(t), uint64(p.TreeEpoch), 0)
 		return
 	}
@@ -1165,8 +1116,7 @@ func (r *Receiver) onReparent(p *wire.Packet) {
 	// retries back just as much as a replacement on a new one.
 	r.tierEpochs[t] = p.TreeEpoch
 	r.chain[t] = addr
-	r.stats.ReparentsFollowed++
-	r.mx.reparents.Inc()
+	atomic.AddUint64(&r.stats.ReparentsFollowed, 1)
 	r.mx.sink.Emit(r.now(), obs.KindReparent, uint64(t), uint64(p.TreeEpoch), 1)
 	// Any stream currently retrying the replaced tier re-fires at the live
 	// node immediately instead of burning out its backoff there.

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"lbrm/internal/estimator"
@@ -192,27 +193,29 @@ func (c SenderConfig) withDefaults() SenderConfig {
 	return c
 }
 
-// SenderStats counts a sender's protocol activity.
+// SenderStats counts a sender's protocol activity. A field tagged obs is
+// also the storage of that registry counter (obs.Registry.AttachStats) and
+// is written with atomic adds only; untagged fields are Stats()-only.
 type SenderStats struct {
-	DataSent          uint64
-	HeartbeatsSent    uint64
-	InlineHeartbeats  uint64
-	AcksReceived      uint64
-	AcksIgnoredFaulty uint64
-	StatRemulticasts  uint64 // re-multicasts triggered by missing ACKs
-	NackRemulticasts  uint64 // re-multicasts triggered by NACK volume
-	RetransUnicast    uint64
-	NacksReceived     uint64
-	SourceAcks        uint64
-	EpochsStarted     uint64
+	DataSent          uint64 `obs:"sender.data_sent"`
+	HeartbeatsSent    uint64 `obs:"sender.heartbeats"`
+	InlineHeartbeats  uint64 `obs:"sender.inline_heartbeats"`
+	AcksReceived      uint64 `obs:"sender.acks"`
+	AcksIgnoredFaulty uint64 `obs:"sender.acks_ignored_faulty"`
+	StatRemulticasts  uint64 `obs:"sender.stat_remulticasts"` // re-multicasts triggered by missing ACKs
+	NackRemulticasts  uint64 `obs:"sender.nack_remulticasts"` // re-multicasts triggered by NACK volume
+	RetransUnicast    uint64 `obs:"sender.retrans_unicast"`
+	NacksReceived     uint64 `obs:"sender.nacks_received"`
+	SourceAcks        uint64 `obs:"sender.source_acks"`
+	EpochsStarted     uint64 `obs:"sender.epochs_started"`
 	AckerResponses    uint64
 	ProbesSent        uint64
 	ProbeResponses    uint64
-	Failovers         uint64
+	Failovers         uint64 `obs:"sender.failovers"`
 	RedirectsServed   uint64
-	StaleSourceAcks   uint64 // acks fenced for carrying an old primary epoch
-	ChannelReplays    uint64 // retransmission-channel replays (§7)
-	SendErrors        uint64
+	StaleSourceAcks   uint64 `obs:"sender.fence.stale_source_acks"` // acks fenced for carrying an old primary epoch
+	ChannelReplays    uint64 `obs:"sender.channel_replays"`         // retransmission-channel replays (§7)
+	SendErrors        uint64 `obs:"sender.send_errors"`
 	Malformed         uint64
 }
 
@@ -225,8 +228,9 @@ var ErrNotStarted = errors.New("core: sender not started")
 
 // Sender is an LBRM multicast source.
 type Sender struct {
-	cfg SenderConfig
-	env transport.Env
+	stats SenderStats // first: its words need 64-bit alignment on 32-bit targets
+	cfg   SenderConfig
+	env   transport.Env
 
 	seq      uint64
 	lastData *wire.Packet // most recent data packet (for inline heartbeats)
@@ -281,38 +285,22 @@ type Sender struct {
 	// bindings copy the datagram before returning, so reuse is safe.
 	scratch []byte
 	// dec recycles NACK range storage across decodes.
-	dec   wire.Decoder
-	stats SenderStats
+	dec wire.Decoder
 	// mx caches the preregistered metric handles (all nil-safe).
 	mx senderMetrics
 }
 
 // senderMetrics holds the sender's preregistered observability handles.
 type senderMetrics struct {
-	sink            *obs.Sink
-	tx              *obs.ClassCounters
-	dataSent        *obs.Counter
-	heartbeats      *obs.Counter
-	inlineHbs       *obs.Counter
-	acks            *obs.Counter
-	acksFaulty      *obs.Counter
-	statRemcasts    *obs.Counter
-	nackRemcasts    *obs.Counter
-	retransUnicast  *obs.Counter
-	nacksRx         *obs.Counter
-	sourceAcks      *obs.Counter
-	staleSourceAcks *obs.Counter
-	epochs          *obs.Counter
-	failovers       *obs.Counter
-	channelReplays  *obs.Counter
-	sendErrors      *obs.Counter
-	primaryEpoch    *obs.Gauge
-	statEpoch       *obs.Gauge
-	twaitNS         *obs.Gauge
-	nsl             *obs.Gauge
-	packPPM         *obs.Gauge
-	ackerCount      *obs.Gauge
-	hbInterval      *obs.Histogram
+	sink         *obs.Sink
+	tx           *obs.ClassCounters
+	primaryEpoch *obs.Gauge
+	statEpoch    *obs.Gauge
+	twaitNS      *obs.Gauge
+	nsl          *obs.Gauge
+	packPPM      *obs.Gauge
+	ackerCount   *obs.Gauge
+	hbInterval   *obs.Histogram
 	// statDelay measures send→re-multicast delay when a missing
 	// statistical ACK triggers the §2.3.2 immediate retransmission.
 	statDelay *obs.Histogram
@@ -325,31 +313,16 @@ var heartbeatBoundsMS = []uint64{10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
 
 func newSenderMetrics(sink *obs.Sink) senderMetrics {
 	return senderMetrics{
-		sink:            sink,
-		tx:              sink.Classes("sender.tx", wire.TrafficClassNames()),
-		dataSent:        sink.Counter("sender.data_sent"),
-		heartbeats:      sink.Counter("sender.heartbeats"),
-		inlineHbs:       sink.Counter("sender.inline_heartbeats"),
-		acks:            sink.Counter("sender.acks"),
-		acksFaulty:      sink.Counter("sender.acks_ignored_faulty"),
-		statRemcasts:    sink.Counter("sender.stat_remulticasts"),
-		nackRemcasts:    sink.Counter("sender.nack_remulticasts"),
-		retransUnicast:  sink.Counter("sender.retrans_unicast"),
-		nacksRx:         sink.Counter("sender.nacks_received"),
-		sourceAcks:      sink.Counter("sender.source_acks"),
-		staleSourceAcks: sink.Counter("sender.fence.stale_source_acks"),
-		epochs:          sink.Counter("sender.epochs_started"),
-		failovers:       sink.Counter("sender.failovers"),
-		channelReplays:  sink.Counter("sender.channel_replays"),
-		sendErrors:      sink.Counter("sender.send_errors"),
-		primaryEpoch:    sink.Gauge("sender.primary_epoch"),
-		statEpoch:       sink.Gauge("sender.stat_epoch"),
-		twaitNS:         sink.Gauge("sender.twait_ns"),
-		nsl:             sink.Gauge("sender.nsl"),
-		packPPM:         sink.Gauge("sender.pack_ppm"),
-		ackerCount:      sink.Gauge("sender.ackers"),
-		hbInterval:      sink.Histogram("sender.heartbeat_interval_ms", heartbeatBoundsMS),
-		statDelay:       sink.Histogram("sender.recovery.multicast_retrans.delay_ms", recoveryBoundsMS),
+		sink:         sink,
+		tx:           sink.Classes("sender.tx", wire.TrafficClassNames()),
+		primaryEpoch: sink.Gauge("sender.primary_epoch"),
+		statEpoch:    sink.Gauge("sender.stat_epoch"),
+		twaitNS:      sink.Gauge("sender.twait_ns"),
+		nsl:          sink.Gauge("sender.nsl"),
+		packPPM:      sink.Gauge("sender.pack_ppm"),
+		ackerCount:   sink.Gauge("sender.ackers"),
+		hbInterval:   sink.Histogram("sender.heartbeat_interval_ms", heartbeatBoundsMS),
+		statDelay:    sink.Histogram("sender.recovery.multicast_retrans.delay_ms", recoveryBoundsMS),
 	}
 }
 
@@ -430,6 +403,7 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 		s.hotlist = estimator.NewHotlist[transport.Addr](
 			cfg.StatAck.HotlistHalfLife, cfg.StatAck.HotlistThreshold)
 	}
+	cfg.Obs.Registry().AttachStats(&s.stats)
 	return s, nil
 }
 
@@ -440,6 +414,7 @@ func (s *Sender) Stats() SenderStats { return s.stats }
 // cease; Send returns ErrNotStarted afterwards. Safe to call once.
 func (s *Sender) Stop() {
 	s.stopped = true
+	s.cfg.Obs.Registry().DetachStats(&s.stats)
 	if s.hbTimer != nil {
 		s.hbTimer.Stop()
 	}
@@ -551,7 +526,7 @@ func (s *Sender) Send(payload []byte) (uint64, error) {
 		return 0, fmt.Errorf("core: payload %d exceeds max %d", len(payload), wire.MaxPayloadLen)
 	}
 	if len(s.retained) >= s.cfg.RetainLimit {
-		s.stats.SendErrors++
+		atomic.AddUint64(&s.stats.SendErrors, 1)
 		return 0, ErrRetainLimit
 	}
 	s.seq++
@@ -561,8 +536,7 @@ func (s *Sender) Send(payload []byte) (uint64, error) {
 		Seq: seq, Epoch: s.epoch, Payload: payload,
 	}
 	s.multicast(&p)
-	s.stats.DataSent++
-	s.mx.dataSent.Inc()
+	atomic.AddUint64(&s.stats.DataSent, 1)
 	s.lastData = &p
 	if len(s.retained) == 0 {
 		s.retainSince = s.env.Now()
@@ -637,12 +611,10 @@ func (s *Sender) fireHeartbeat() {
 		len(s.lastData.Payload) <= s.cfg.InlineHeartbeatMax {
 		p.Flags |= wire.FlagInlineData
 		p.Payload = s.lastData.Payload
-		s.stats.InlineHeartbeats++
-		s.mx.inlineHbs.Inc()
+		atomic.AddUint64(&s.stats.InlineHeartbeats, 1)
 	}
 	s.multicast(&p)
-	s.stats.HeartbeatsSent++
-	s.mx.heartbeats.Inc()
+	atomic.AddUint64(&s.stats.HeartbeatsSent, 1)
 	s.mx.hbInterval.Observe(uint64(next / time.Millisecond))
 	s.hbTimer.Reset(next)
 }
@@ -655,13 +627,11 @@ func (s *Sender) onSourceAck(p *wire.Packet) {
 		// must neither move watermarks nor refresh lastAckAt — a zombie
 		// refreshing the idle clock would mask the very failure that minted
 		// the newer epoch.
-		s.stats.StaleSourceAcks++
-		s.mx.staleSourceAcks.Inc()
+		atomic.AddUint64(&s.stats.StaleSourceAcks, 1)
 		s.mx.sink.Emit(s.now(), obs.KindFenceHit, uint64(s.primaryEpoch), uint64(p.Epoch), uint64(p.Type))
 		return
 	}
-	s.stats.SourceAcks++
-	s.mx.sourceAcks.Inc()
+	atomic.AddUint64(&s.stats.SourceAcks, 1)
 	s.lastAckAt = s.env.Now()
 	if p.Seq > s.primaryAcked {
 		s.primaryAcked = p.Seq
@@ -693,8 +663,7 @@ func (s *Sender) onSourceAck(p *wire.Packet) {
 // primary recovering its own losses, or receivers in the no-logger basic
 // mode). Heavy distinct demand for one packet triggers a re-multicast.
 func (s *Sender) onNack(from transport.Addr, p *wire.Packet) {
-	s.stats.NacksReceived++
-	s.mx.nacksRx.Inc()
+	atomic.AddUint64(&s.stats.NacksReceived, 1)
 	const budget = 1024
 	n := 0
 	for _, r := range p.Ranges {
@@ -728,15 +697,13 @@ func (s *Sender) serveNack(from transport.Addr, seq uint64) {
 		if len(w.requesters) >= s.cfg.StatAck.NackRemcastThreshold {
 			w.remulticast = true
 			s.multicast(&out)
-			s.stats.NackRemulticasts++
-			s.mx.nackRemcasts.Inc()
+			atomic.AddUint64(&s.stats.NackRemulticasts, 1)
 			s.mx.sink.EmitFlight(s.now(), obs.KindServe, seq, uint64(wire.PathSourceMulticast), 1)
 			return
 		}
 	}
 	s.send(from, &out)
-	s.stats.RetransUnicast++
-	s.mx.retransUnicast.Inc()
+	atomic.AddUint64(&s.stats.RetransUnicast, 1)
 	s.mx.sink.EmitFlight(s.now(), obs.KindServe, seq, uint64(wire.PathSourceMulticast), 0)
 }
 
@@ -755,7 +722,7 @@ func (s *Sender) scheduleChannelReplays(p *wire.Packet) {
 	// instead of copying the payload and then marshalling the copy.
 	buf, err := replay.AppendMarshal(nil)
 	if err != nil {
-		s.stats.SendErrors++
+		atomic.AddUint64(&s.stats.SendErrors, 1)
 		return
 	}
 	delay := s.cfg.RetransStart
@@ -763,12 +730,10 @@ func (s *Sender) scheduleChannelReplays(p *wire.Packet) {
 		s.after(delay, func() {
 			s.mx.tx.Record(int(wire.ClassRetrans), len(buf))
 			if err := s.env.Multicast(s.cfg.RetransChannel, transport.TTLGlobal, buf); err != nil {
-				s.stats.SendErrors++
-				s.mx.sendErrors.Inc()
+				atomic.AddUint64(&s.stats.SendErrors, 1)
 				return
 			}
-			s.stats.ChannelReplays++
-			s.mx.channelReplays.Inc()
+			atomic.AddUint64(&s.stats.ChannelReplays, 1)
 			s.mx.sink.EmitFlight(s.now(), obs.KindServe, replay.Seq, uint64(wire.PathSourceMulticast), 1)
 		})
 		delay *= 2
@@ -860,8 +825,7 @@ func (s *Sender) finishSelection(next uint32, pAck float64) {
 	s.ackers = s.nextAckers
 	s.nextAckers = nil
 	s.selecting = false
-	s.stats.EpochsStarted++
-	s.mx.epochs.Inc()
+	atomic.AddUint64(&s.stats.EpochsStarted, 1)
 	s.mx.statEpoch.Set(int64(s.epoch))
 	s.syncEstimates()
 	s.after(s.cfg.StatAck.EpochInterval, func() {
@@ -878,8 +842,7 @@ func (s *Sender) onAckerResponse(from transport.Addr, p *wire.Packet) {
 	now := s.env.Now()
 	s.hotlist.Record(from, now)
 	if s.hotlist.Faulty(from, now) {
-		s.stats.AcksIgnoredFaulty++
-		s.mx.acksFaulty.Inc()
+		atomic.AddUint64(&s.stats.AcksIgnoredFaulty, 1)
 		return
 	}
 	s.nextAckers[from] = true
@@ -908,16 +871,14 @@ func (s *Sender) onAck(from transport.Addr, p *wire.Packet) {
 		return
 	}
 	if !s.ackers[from] {
-		s.stats.AcksIgnoredFaulty++
-		s.mx.acksFaulty.Inc()
+		atomic.AddUint64(&s.stats.AcksIgnoredFaulty, 1)
 		return // not a Designated Acker for this epoch (or faulty)
 	}
 	if pa.acks[from] {
 		return
 	}
 	pa.acks[from] = true
-	s.stats.AcksReceived++
-	s.mx.acks.Inc()
+	atomic.AddUint64(&s.stats.AcksReceived, 1)
 	if len(pa.acks) >= pa.expected {
 		// All expected ACKs in: sample the RTT and retire the packet.
 		s.rtt.Observe(s.env.Now().Sub(pa.sentAt))
@@ -953,8 +914,7 @@ func (s *Sender) ackDeadline(pa *pendingAck) {
 			Epoch: pa.epoch, Payload: pa.payload,
 		}
 		s.multicast(&out)
-		s.stats.StatRemulticasts++
-		s.mx.statRemcasts.Inc()
+		atomic.AddUint64(&s.stats.StatRemulticasts, 1)
 		s.mx.sink.EmitFlight(s.now(), obs.KindServe, pa.seq, uint64(wire.PathSourceMulticast), 1)
 		s.mx.statDelay.Observe(uint64(s.env.Now().Sub(pa.sentAt) / time.Millisecond))
 	}
@@ -1034,8 +994,7 @@ func (s *Sender) completeFailover(fo *failoverState) {
 	// back off — re-electing at a fixed period while a cold replica
 	// backfills only thrashes the roster.
 	s.foProbes++
-	s.stats.Failovers++
-	s.mx.failovers.Inc()
+	atomic.AddUint64(&s.stats.Failovers, 1)
 	s.primary = fo.best
 	// Mint the next primary epoch: the promotion and redirect below carry
 	// it, and from here on acks from any older epoch are fenced.
@@ -1099,29 +1058,25 @@ func (s *Sender) onPrimaryQuery(from transport.Addr) {
 func (s *Sender) multicast(p *wire.Packet) {
 	buf, err := p.AppendMarshal(s.scratch[:0])
 	if err != nil {
-		s.stats.SendErrors++
-		s.mx.sendErrors.Inc()
+		atomic.AddUint64(&s.stats.SendErrors, 1)
 		return
 	}
 	s.scratch = buf
 	s.mx.tx.Record(int(wire.ClassOf(p.Type)), len(buf))
 	if err := s.env.Multicast(s.cfg.Group, transport.TTLGlobal, buf); err != nil {
-		s.stats.SendErrors++
-		s.mx.sendErrors.Inc()
+		atomic.AddUint64(&s.stats.SendErrors, 1)
 	}
 }
 
 func (s *Sender) send(to transport.Addr, p *wire.Packet) {
 	buf, err := p.AppendMarshal(s.scratch[:0])
 	if err != nil {
-		s.stats.SendErrors++
-		s.mx.sendErrors.Inc()
+		atomic.AddUint64(&s.stats.SendErrors, 1)
 		return
 	}
 	s.scratch = buf
 	s.mx.tx.Record(int(wire.ClassOf(p.Type)), len(buf))
 	if err := s.env.Send(to, buf); err != nil {
-		s.stats.SendErrors++
-		s.mx.sendErrors.Inc()
+		atomic.AddUint64(&s.stats.SendErrors, 1)
 	}
 }

@@ -1,6 +1,7 @@
 package logger
 
 import (
+	"sync/atomic"
 	"time"
 
 	"lbrm/internal/obs"
@@ -64,11 +65,6 @@ type PrimaryConfig struct {
 	// primary defaults to 1 (matching the sender's initial epoch); replicas
 	// start at 0 and adopt epochs from LogSyncs and promotions.
 	Epoch uint32
-	// UnsafeNoFence disables epoch fencing, reverting to the pre-epoch
-	// demote-on-redirect heuristic. Test-only: it exists so the chaos
-	// harness can demonstrate that the un-fenced-single-primary invariant
-	// actually trips when fencing is removed. Never set in production.
-	UnsafeNoFence bool
 	// Obs receives metrics and trace events (nil = uninstrumented).
 	Obs *obs.Sink
 }
@@ -104,44 +100,48 @@ func (c PrimaryConfig) withDefaults() PrimaryConfig {
 	return c
 }
 
-// PrimaryStats counts a primary logger's protocol activity.
+// PrimaryStats counts a primary logger's protocol activity. A field tagged
+// obs is also the storage of that registry counter (obs.Registry.AttachStats)
+// and is written with atomic adds only; untagged fields are Stats()-only.
 type PrimaryStats struct {
-	PacketsLogged    uint64
-	Duplicates       uint64
-	SourceAcks       uint64
-	NacksToSource    uint64
-	NacksFromClients uint64
+	PacketsLogged uint64 `obs:"primary.logged"`
+	Duplicates    uint64 `obs:"primary.duplicates"`
+	SourceAcks    uint64 `obs:"primary.source_acks"`
+	NacksToSource uint64 `obs:"primary.nacks_to_source"`
+	// NacksFromClients is the primary's inbound escalation load — the
+	// health engine's storm/escalation signal (DESIGN.md §15).
+	NacksFromClients uint64 `obs:"primary.nacks_received"`
 	SeqsRequested    uint64
-	RetransServed    uint64
-	LogSyncsSent     uint64
+	RetransServed    uint64 `obs:"primary.retrans_served"`
+	LogSyncsSent     uint64 `obs:"primary.logsyncs_sent"`
 	LogSyncAcks      uint64
-	LogSyncsApplied  uint64
+	LogSyncsApplied  uint64 `obs:"primary.logsyncs_applied"`
 	StateQueries     uint64
-	Promotions       uint64
-	Demotions        uint64 // stepped down after a redirect named another primary
+	Promotions       uint64 `obs:"primary.promotions"`
+	Demotions        uint64 `obs:"primary.demotions"` // stepped down after a redirect named another primary
 	// Promotion-gap backfill (§2.2.3): a promoted replica fetching packets
 	// the source has already released from its peer replicas.
-	BackfillsStarted uint64
-	BackfillNacks    uint64
-	BackfillSkipped  uint64 // sequence numbers given up as unrecoverable
+	BackfillsStarted uint64 `obs:"primary.backfills"`
+	BackfillNacks    uint64 `obs:"primary.backfill_nacks"`
+	BackfillSkipped  uint64 `obs:"primary.backfill_skipped"` // sequence numbers given up as unrecoverable
 	// Epoch fencing (§2.2.3 failover hygiene).
-	StaleSyncs     uint64 // LogSyncs dropped for carrying an old epoch
-	StaleSyncAcks  uint64 // LogSyncAcks dropped for carrying an old epoch
-	StaleRedirects uint64 // redirects ignored for carrying an old epoch
-	StalePromotes  uint64 // promotions ignored for carrying an old epoch
+	StaleSyncs     uint64 `obs:"primary.fence.stale_syncs"`     // LogSyncs dropped for carrying an old epoch
+	StaleSyncAcks  uint64 `obs:"primary.fence.stale_sync_acks"` // LogSyncAcks dropped for carrying an old epoch
+	StaleRedirects uint64 `obs:"primary.fence.stale_redirects"` // redirects ignored for carrying an old epoch
+	StalePromotes  uint64 `obs:"primary.fence.stale_promotes"`  // promotions ignored for carrying an old epoch
 	// LogSync advance records (watermark jumps across skipped holes).
-	AdvancesSent    uint64
-	AdvancesApplied uint64
+	AdvancesSent    uint64 `obs:"primary.advances_sent"`
+	AdvancesApplied uint64 `obs:"primary.advances_applied"`
 	Malformed       uint64
 	// Quorum replication mode (DESIGN.md §12).
 	QuorumLaunched     uint64 // ring tokens launched (one per logged packet)
 	QuorumForwarded    uint64 // ring tokens forwarded (replica role)
-	QuorumApplied      uint64 // packets applied from ring tokens (replica role)
+	QuorumApplied      uint64 `obs:"primary.quorum.applied"` // packets applied from ring tokens (replica role)
 	QuorumReturns      uint64 // data tokens that completed the ring
-	AcksParked         uint64 // source acks capped below the log watermark
+	AcksParked         uint64 `obs:"primary.quorum.acks_parked"` // source acks capped below the log watermark
 	QuorumDegradations uint64 // lagging episodes that outlived QuorumDeadline
-	RingStalls         uint64 // ring stall detections (fallback to direct fan-in)
-	RingRepairs        uint64 // successful ring re-formations (probe returned)
+	RingStalls         uint64 `obs:"primary.quorum.ring_stalls"`  // ring stall detections (fallback to direct fan-in)
+	RingRepairs        uint64 `obs:"primary.quorum.ring_repairs"` // successful ring re-formations (probe returned)
 	RingProbes         uint64 // repair probe tokens launched
 	RingConfigsSent    uint64 // ring role installations sent to replicas
 	RingConfigsApplied uint64 // ring roles this replica accepted
@@ -159,17 +159,19 @@ type PrimaryStats struct {
 // With cfg.Replica it starts as a passive replica that applies LogSyncs
 // and answers state queries until a TypePromote arrives.
 type Primary struct {
+	stats    PrimaryStats // first: its words need 64-bit alignment on 32-bit targets
 	cfg      PrimaryConfig
 	env      transport.Env
 	streams  map[StreamKey]*priStream
 	replicas []*replicaState
-	stats    PrimaryStats
 	replica  bool
 	stopped  bool
 	// epoch is the highest primary-authority epoch observed (or held, when
 	// acting). Authority-bearing traffic below it is fenced; observing a
 	// higher one while acting demotes this server deterministically.
 	epoch uint32
+	// noFence is set by UnfenceForTest only.
+	noFence bool
 	// syncTimer drives the LogSync repair tick; syncIdle counts consecutive
 	// ticks with nothing to send, driving the idle backoff.
 	syncTimer vtime.Timer
@@ -200,71 +202,23 @@ type Primary struct {
 
 // primaryMetrics holds the primary's preregistered observability handles.
 type primaryMetrics struct {
-	sink            *obs.Sink
-	tx              *obs.ClassCounters
-	logged          *obs.Counter
-	duplicates      *obs.Counter
-	nacksReceived   *obs.Counter
-	sourceAcks      *obs.Counter
-	logSyncsSent    *obs.Counter
-	logSyncsApplied *obs.Counter
-	retransServed   *obs.Counter
-	nacksToSource   *obs.Counter
-	backfillNacks   *obs.Counter
-	promotions      *obs.Counter
-	demotions       *obs.Counter
-	backfills       *obs.Counter
-	backfillSkipped *obs.Counter
-	staleSyncs      *obs.Counter
-	staleSyncAcks   *obs.Counter
-	staleRedirects  *obs.Counter
-	stalePromotes   *obs.Counter
-	advancesSent    *obs.Counter
-	advancesApplied *obs.Counter
-	epoch           *obs.Gauge
+	sink  *obs.Sink
+	tx    *obs.ClassCounters
+	epoch *obs.Gauge
 	// Quorum replication mode.
-	quorumApplied *obs.Counter
-	acksParked    *obs.Counter
-	ringStalls    *obs.Counter
-	ringRepairs   *obs.Counter
-	quorumDepth   *obs.Gauge
-	quorumHealth  *obs.Gauge
-	quorumLag     *obs.Histogram
-	ringRTT       *obs.Histogram
+	quorumDepth  *obs.Gauge
+	quorumHealth *obs.Gauge
+	quorumLag    *obs.Histogram
+	ringRTT      *obs.Histogram
 }
 
 func newPrimaryMetrics(sink *obs.Sink) primaryMetrics {
 	return primaryMetrics{
-		sink:       sink,
-		tx:         sink.Classes("primary.tx", wire.TrafficClassNames()),
-		logged:     sink.Counter("primary.logged"),
-		duplicates: sink.Counter("primary.duplicates"),
-		// nacks_received is the primary's inbound escalation load — the
-		// health engine's storm/escalation signal (DESIGN.md §15).
-		nacksReceived:   sink.Counter("primary.nacks_received"),
-		sourceAcks:      sink.Counter("primary.source_acks"),
-		logSyncsSent:    sink.Counter("primary.logsyncs_sent"),
-		logSyncsApplied: sink.Counter("primary.logsyncs_applied"),
-		retransServed:   sink.Counter("primary.retrans_served"),
-		nacksToSource:   sink.Counter("primary.nacks_to_source"),
-		backfillNacks:   sink.Counter("primary.backfill_nacks"),
-		promotions:      sink.Counter("primary.promotions"),
-		demotions:       sink.Counter("primary.demotions"),
-		backfills:       sink.Counter("primary.backfills"),
-		backfillSkipped: sink.Counter("primary.backfill_skipped"),
-		staleSyncs:      sink.Counter("primary.fence.stale_syncs"),
-		staleSyncAcks:   sink.Counter("primary.fence.stale_sync_acks"),
-		staleRedirects:  sink.Counter("primary.fence.stale_redirects"),
-		stalePromotes:   sink.Counter("primary.fence.stale_promotes"),
-		advancesSent:    sink.Counter("primary.advances_sent"),
-		advancesApplied: sink.Counter("primary.advances_applied"),
-		epoch:           sink.Gauge("primary.epoch"),
-		quorumApplied:   sink.Counter("primary.quorum.applied"),
-		acksParked:      sink.Counter("primary.quorum.acks_parked"),
-		ringStalls:      sink.Counter("primary.quorum.ring_stalls"),
-		ringRepairs:     sink.Counter("primary.quorum.ring_repairs"),
-		quorumDepth:     sink.Gauge("primary.quorum.depth"),
-		quorumHealth:    sink.Gauge("primary.quorum.health"),
+		sink:         sink,
+		tx:           sink.Classes("primary.tx", wire.TrafficClassNames()),
+		epoch:        sink.Gauge("primary.epoch"),
+		quorumDepth:  sink.Gauge("primary.quorum.depth"),
+		quorumHealth: sink.Gauge("primary.quorum.health"),
 		quorumLag: sink.Histogram("primary.quorum.replication_lag",
 			[]uint64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}),
 		ringRTT: sink.Histogram("primary.quorum.ring_rtt_ms",
@@ -343,6 +297,7 @@ func NewPrimary(cfg PrimaryConfig) *Primary {
 	for _, a := range cfg.Replicas {
 		p.replicas = append(p.replicas, &replicaState{addr: a, acked: make(map[StreamKey]uint64)})
 	}
+	cfg.Obs.Registry().AttachStats(&p.stats)
 	return p
 }
 
@@ -353,6 +308,7 @@ func (p *Primary) Stats() PrimaryStats { return p.stats }
 // disk spill files. Safe to call once.
 func (p *Primary) Stop() {
 	p.stopped = true
+	p.cfg.Obs.Registry().DetachStats(&p.stats)
 	for _, st := range p.streams {
 		st.store.Close()
 	}
@@ -374,10 +330,33 @@ func (p *Primary) IsReplica() bool { return p.replica }
 // or observed.
 func (p *Primary) Epoch() uint32 { return p.epoch }
 
-// staleAuthority reports whether authority-bearing traffic at epoch e must
-// be fenced (dropped without effect).
-func (p *Primary) staleAuthority(e uint32) bool {
-	return !p.cfg.UnsafeNoFence && e < p.epoch
+// staleAuthority reports whether pkt bears the authority of a superseded
+// epoch and must be fenced (dropped without effect); a hit is counted on
+// the stats word n and traced.
+func (p *Primary) staleAuthority(pkt *wire.Packet, n *uint64) bool {
+	if p.noFence || pkt.Epoch >= p.epoch {
+		return false
+	}
+	atomic.AddUint64(n, 1)
+	p.mx.sink.Emit(p.now(), obs.KindFenceHit, uint64(p.epoch), uint64(pkt.Epoch), uint64(pkt.Type))
+	return true
+}
+
+// UnfenceForTest turns p's epoch fencing off, reverting to the pre-epoch
+// demote-on-redirect heuristic, so the chaos harness can show that its
+// un-fenced-single-primary invariant trips without it. Tests only.
+func UnfenceForTest(p *Primary) { p.noFence = true }
+
+// adoptEpoch raises p.epoch to a higher epoch e named by a message that
+// also says who holds it (a promotion, a redirect); the role is untouched.
+func (p *Primary) adoptEpoch(e uint32) bool {
+	if e <= p.epoch {
+		return false
+	}
+	p.mx.sink.Emit(p.now(), obs.KindEpochBump, uint64(p.epoch), uint64(e), 0)
+	p.epoch = e
+	p.mx.epoch.Set(int64(e))
+	return true
 }
 
 // observeEpoch folds an observed primary epoch into p.epoch. Seeing a
@@ -387,18 +366,11 @@ func (p *Primary) staleAuthority(e uint32) bool {
 // fencing discipline of view-numbered leader election — demote on evidence,
 // not on heuristics.
 func (p *Primary) observeEpoch(e uint32) bool {
-	if p.cfg.UnsafeNoFence || e <= p.epoch {
+	if p.noFence || !p.adoptEpoch(e) || p.replica {
 		return false
 	}
-	old := p.epoch
-	p.epoch = e
-	p.mx.sink.Emit(p.now(), obs.KindEpochBump, uint64(old), uint64(e), 0)
-	p.mx.epoch.Set(int64(e))
-	if !p.replica {
-		p.demote()
-		return true
-	}
-	return false
+	p.demote()
+	return true
 }
 
 // now returns the environment clock in nanoseconds (0 before Start).
@@ -416,8 +388,7 @@ func (p *Primary) now() int64 {
 func (p *Primary) demote() {
 	p.replica = true
 	p.ring.active = false // wait for the new primary to install a fresh role
-	p.stats.Demotions++
-	p.mx.demotions.Inc()
+	atomic.AddUint64(&p.stats.Demotions, 1)
 	p.mx.sink.Emit(p.now(), obs.KindDemote, uint64(p.epoch), uint64(p.epoch), 0)
 	if bf := p.backfill; bf != nil {
 		if bf.timer != nil {
@@ -568,12 +539,10 @@ func (p *Primary) onData(from transport.Addr, pkt *wire.Packet) {
 		st.source = from
 	}
 	if st.store.Put(pkt.Seq, pkt.Payload, p.env.Now()) {
-		p.stats.PacketsLogged++
-		p.mx.logged.Inc()
+		atomic.AddUint64(&p.stats.PacketsLogged, 1)
 		p.replicateOrRing(st, pkt.Seq)
 	} else {
-		p.stats.Duplicates++
-		p.mx.duplicates.Inc()
+		atomic.AddUint64(&p.stats.Duplicates, 1)
 	}
 	if waiters := st.pendingReq[pkt.Seq]; len(waiters) > 0 {
 		delete(st.pendingReq, pkt.Seq)
@@ -602,8 +571,7 @@ func (p *Primary) onHeartbeat(from transport.Addr, pkt *wire.Packet) {
 	st.source = from
 	if pkt.Flags&wire.FlagInlineData != 0 && pkt.Seq > 0 {
 		if st.store.Put(pkt.Seq, pkt.Payload, p.env.Now()) {
-			p.stats.PacketsLogged++
-			p.mx.logged.Inc()
+			atomic.AddUint64(&p.stats.PacketsLogged, 1)
 			p.replicateOrRing(st, pkt.Seq)
 			p.ackSource(st)
 		}
@@ -649,8 +617,7 @@ func (p *Primary) ackSource(st *priStream) {
 			if seq == st.lastAckSeq && now-st.lastAckAt < int64(p.cfg.SyncRetry) {
 				return // parked duplicate; the next token return re-acks
 			}
-			p.stats.AcksParked++
-			p.mx.acksParked.Inc()
+			atomic.AddUint64(&p.stats.AcksParked, 1)
 			p.mx.quorumLag.Observe(contig - seq)
 		}
 		st.lastAckSeq = seq
@@ -662,8 +629,7 @@ func (p *Primary) ackSource(st *priStream) {
 		Epoch: p.epoch,
 	}
 	p.send(st.source, &ack)
-	p.stats.SourceAcks++
-	p.mx.sourceAcks.Inc()
+	atomic.AddUint64(&p.stats.SourceAcks, 1)
 }
 
 // replicaSeq computes the replicated-logger sequence number for a stream.
@@ -723,8 +689,7 @@ func (p *Primary) replicate(st *priStream, seq uint64) {
 	}
 	for _, r := range p.replicas {
 		p.send(r.addr, &sync)
-		p.stats.LogSyncsSent++
-		p.mx.logSyncsSent.Inc()
+		atomic.AddUint64(&p.stats.LogSyncsSent, 1)
 	}
 }
 
@@ -739,8 +704,7 @@ func (p *Primary) sendAdvance(st *priStream, to transport.Addr, seq uint64) {
 		Seq: seq, Epoch: p.epoch,
 	}
 	p.send(to, &adv)
-	p.stats.AdvancesSent++
-	p.mx.advancesSent.Inc()
+	atomic.AddUint64(&p.stats.AdvancesSent, 1)
 }
 
 // syncTick periodically re-sends LogSyncs the replicas have not
@@ -778,8 +742,7 @@ func (p *Primary) syncTick() {
 					Seq: seq, Payload: payload, Epoch: p.epoch,
 				}
 				p.send(r.addr, &sync)
-				p.stats.LogSyncsSent++
-				p.mx.logSyncsSent.Inc()
+				atomic.AddUint64(&p.stats.LogSyncsSent, 1)
 				sent++
 				anySent = true
 			}
@@ -795,8 +758,7 @@ func (p *Primary) syncTick() {
 
 func (p *Primary) onNack(from transport.Addr, pkt *wire.Packet) {
 	st := p.stream(KeyOf(pkt))
-	p.stats.NacksFromClients++
-	p.mx.nacksReceived.Inc()
+	atomic.AddUint64(&p.stats.NacksFromClients, 1)
 	budget := maxSeqsPerNack
 	needFetch := false
 	for _, r := range pkt.Ranges {
@@ -837,29 +799,24 @@ func (p *Primary) retransmit(st *priStream, seq uint64, to transport.Addr) {
 		Source: st.key.Source, Group: st.key.Group, Seq: seq, Payload: payload,
 	}
 	p.send(to, &r)
-	p.stats.RetransServed++
-	p.mx.retransServed.Inc()
+	atomic.AddUint64(&p.stats.RetransServed, 1)
 	p.mx.sink.EmitFlight(p.now(), obs.KindServe, seq, uint64(wire.PathPrimaryCallback), 0)
 }
 
 func (p *Primary) onLogSync(from transport.Addr, pkt *wire.Packet) {
 	p.observeEpoch(pkt.Epoch)
 	st := p.stream(KeyOf(pkt))
-	if p.staleAuthority(pkt.Epoch) {
+	if p.staleAuthority(pkt, &p.stats.StaleSyncs) {
 		// A fenced primary is still replicating. Do not apply its log, but
 		// do ack with our (higher) epoch: the stale primary fences itself
 		// the moment the ack arrives.
-		p.stats.StaleSyncs++
-		p.mx.staleSyncs.Inc()
-		p.mx.sink.Emit(p.now(), obs.KindFenceHit, uint64(p.epoch), uint64(pkt.Epoch), uint64(pkt.Type))
 		p.sendSyncAck(from, st)
 		return
 	}
 	if pkt.Flags&wire.FlagLogAdvance != 0 {
 		if pkt.Seq > st.store.Contiguous() {
 			st.store.Advance(pkt.Seq)
-			p.stats.AdvancesApplied++
-			p.mx.advancesApplied.Inc()
+			atomic.AddUint64(&p.stats.AdvancesApplied, 1)
 			p.mx.sink.Emit(p.now(), obs.KindAdvance, pkt.Seq, 0, 0)
 			// A promoted replica with replicas of its own forwards the
 			// advance, like any other sync.
@@ -873,8 +830,7 @@ func (p *Primary) onLogSync(from transport.Addr, pkt *wire.Packet) {
 		return
 	}
 	if st.store.Put(pkt.Seq, pkt.Payload, p.env.Now()) {
-		p.stats.LogSyncsApplied++
-		p.mx.logSyncsApplied.Inc()
+		atomic.AddUint64(&p.stats.LogSyncsApplied, 1)
 	}
 	p.sendSyncAck(from, st)
 	// A promoted replica with replicas of its own forwards the sync on.
@@ -892,14 +848,8 @@ func (p *Primary) sendSyncAck(to transport.Addr, st *priStream) {
 }
 
 func (p *Primary) onLogSyncAck(from transport.Addr, pkt *wire.Packet) {
-	if p.observeEpoch(pkt.Epoch) {
-		return // the replica knows a newer primary: we just self-demoted
-	}
-	if p.staleAuthority(pkt.Epoch) {
-		p.stats.StaleSyncAcks++
-		p.mx.staleSyncAcks.Inc()
-		p.mx.sink.Emit(p.now(), obs.KindFenceHit, uint64(p.epoch), uint64(pkt.Epoch), uint64(pkt.Type))
-		return
+	if p.observeEpoch(pkt.Epoch) || p.staleAuthority(pkt, &p.stats.StaleSyncAcks) {
+		return // the replica knows a newer primary (we just self-demoted), or its ack is stale
 	}
 	p.stats.LogSyncAcks++
 	key := KeyOf(pkt)
@@ -947,19 +897,12 @@ func (p *Primary) onStateQuery(from transport.Addr, pkt *wire.Packet) {
 // peers as replication targets so the dual-sequence-number durability story
 // survives the failover.
 func (p *Primary) onPromote(from transport.Addr, pkt *wire.Packet) {
-	if !p.cfg.UnsafeNoFence && pkt.Epoch < p.epoch {
+	if p.staleAuthority(pkt, &p.stats.StalePromotes) {
 		// A delayed or replayed promotion from a superseded election; acting
 		// on it would resurrect exactly the split-brain the epoch prevents.
-		p.stats.StalePromotes++
-		p.mx.stalePromotes.Inc()
-		p.mx.sink.Emit(p.now(), obs.KindFenceHit, uint64(p.epoch), uint64(pkt.Epoch), uint64(pkt.Type))
 		return
 	}
-	if pkt.Epoch > p.epoch {
-		p.mx.sink.Emit(p.now(), obs.KindEpochBump, uint64(p.epoch), uint64(pkt.Epoch), 0)
-		p.epoch = pkt.Epoch
-		p.mx.epoch.Set(int64(p.epoch))
-	}
+	p.adoptEpoch(pkt.Epoch)
 	if !p.replica {
 		// Re-promoted while already acting (the sender re-elected us, e.g.
 		// after a fruitless probe round): adopt the fresh epoch, refresh the
@@ -974,8 +917,7 @@ func (p *Primary) onPromote(from transport.Addr, pkt *wire.Packet) {
 	}
 	p.replica = false
 	p.ring.active = false // the ring role died with the old primary
-	p.stats.Promotions++
-	p.mx.promotions.Inc()
+	atomic.AddUint64(&p.stats.Promotions, 1)
 	p.mx.sink.Emit(p.now(), obs.KindPromote, uint64(p.epoch), pkt.Seq, 0)
 	if len(p.replicas) == 0 {
 		for _, a := range p.cfg.Peers {
@@ -1016,17 +958,10 @@ func (p *Primary) onPrimaryRedirect(pkt *wire.Packet) {
 		p.stats.Malformed++
 		return
 	}
-	if !p.cfg.UnsafeNoFence && pkt.Epoch < p.epoch {
-		p.stats.StaleRedirects++
-		p.mx.staleRedirects.Inc()
-		p.mx.sink.Emit(p.now(), obs.KindFenceHit, uint64(p.epoch), uint64(pkt.Epoch), uint64(pkt.Type))
+	if p.staleAuthority(pkt, &p.stats.StaleRedirects) {
 		return
 	}
-	if pkt.Epoch > p.epoch && !p.cfg.UnsafeNoFence {
-		p.mx.sink.Emit(p.now(), obs.KindEpochBump, uint64(p.epoch), uint64(pkt.Epoch), 0)
-		p.epoch = pkt.Epoch
-		p.mx.epoch.Set(int64(p.epoch))
-	}
+	p.adoptEpoch(pkt.Epoch)
 	if addr.String() == p.env.LocalAddr().String() {
 		return // the redirect names us: we are the rightful primary
 	}
@@ -1045,8 +980,7 @@ func (p *Primary) startBackfill(st *priStream, floor uint64) {
 		p.skipBackfillHole(st, floor)
 		return
 	}
-	p.stats.BackfillsStarted++
-	p.mx.backfills.Inc()
+	atomic.AddUint64(&p.stats.BackfillsStarted, 1)
 	bf := &backfillState{st: st, floor: floor, lastContig: st.store.Contiguous()}
 	p.backfill = bf
 	q := wire.Packet{
@@ -1129,8 +1063,7 @@ func (p *Primary) onPeerStateReply(from transport.Addr, pkt *wire.Packet) {
 		Ranges: ranges,
 	}
 	p.send(from, &nack)
-	p.stats.BackfillNacks++
-	p.mx.backfillNacks.Inc()
+	atomic.AddUint64(&p.stats.BackfillNacks, 1)
 }
 
 // finishBackfill ends the episode (the hole is closed or skipped) and
@@ -1160,8 +1093,7 @@ func (p *Primary) skipBackfillHole(st *priStream, floor uint64) {
 		missing += r.Count()
 	}
 	st.store.Advance(floor)
-	p.stats.BackfillSkipped += missing
-	p.mx.backfillSkipped.Add(missing)
+	atomic.AddUint64(&p.stats.BackfillSkipped, missing)
 	p.mx.sink.Emit(p.now(), obs.KindSkipAhead, contig, floor, missing)
 	// Replicas can never recover the hole either (this primary was elected
 	// as the most up-to-date copy): ship them an advance record so their
@@ -1243,8 +1175,7 @@ func (p *Primary) fetchFromSource(st *priStream, hi uint64) {
 		Ranges: ranges,
 	}
 	p.send(st.source, &nack)
-	p.stats.NacksToSource++
-	p.mx.nacksToSource.Inc()
+	atomic.AddUint64(&p.stats.NacksToSource, 1)
 	// Jittered exponential backoff (see Secondary.fetchMissing): the primary
 	// must not hammer a source that is down or partitioned at a fixed period.
 	retry := transport.Backoff{Base: p.cfg.RequestTimeout}.Interval(st.retries-1, p.env.Rand())

@@ -19,6 +19,7 @@ package logger
 // launched on a superseded topology dies at the first surviving hop.
 
 import (
+	"sync/atomic"
 	"time"
 
 	"lbrm/internal/obs"
@@ -233,13 +234,8 @@ func (p *Primary) ringLaunch(st *priStream, seq uint64, payload []byte) {
 // primary folds the completed circle. Epoch fencing mirrors every other
 // authority-bearing message.
 func (p *Primary) onQuorumAck(pkt *wire.Packet) {
-	if p.observeEpoch(pkt.Epoch) {
-		return // we were acting on a stale epoch; the new primary owns the ring
-	}
-	if p.staleAuthority(pkt.Epoch) {
-		p.stats.StaleQuorumAcks++
-		p.mx.sink.Emit(p.now(), obs.KindFenceHit, uint64(p.epoch), uint64(pkt.Epoch), uint64(pkt.Type))
-		return
+	if p.observeEpoch(pkt.Epoch) || p.staleAuthority(pkt, &p.stats.StaleQuorumAcks) {
+		return // we acted on a stale epoch (the new primary owns the ring), or the token is stale
 	}
 	if p.replica {
 		p.forwardRingToken(pkt)
@@ -266,11 +262,9 @@ func (p *Primary) forwardRingToken(pkt *wire.Packet) {
 		st := p.stream(KeyOf(pkt))
 		if len(pkt.Payload) > 0 {
 			if st.store.Put(pkt.Seq, pkt.Payload, p.env.Now()) {
-				p.stats.QuorumApplied++
-				p.mx.quorumApplied.Inc()
+				atomic.AddUint64(&p.stats.QuorumApplied, 1)
 			} else {
-				p.stats.Duplicates++
-				p.mx.duplicates.Inc()
+				atomic.AddUint64(&p.stats.Duplicates, 1)
 			}
 		}
 		wm = st.store.Contiguous()
@@ -316,8 +310,7 @@ func (p *Primary) ringReturn(pkt *wire.Packet) {
 			if q.direct {
 				q.direct = false
 				q.repairs = 0
-				p.stats.RingRepairs++
-				p.mx.ringRepairs.Inc()
+				atomic.AddUint64(&p.stats.RingRepairs, 1)
 				p.mx.sink.Emit(now, obs.KindRingRepair, 2, uint64(q.ver), uint64(len(q.ring)))
 			}
 		}
@@ -352,13 +345,8 @@ func (p *Primary) ringReturn(pkt *wire.Packet) {
 
 // onRingConfig installs (or refuses) a ring role on a replica.
 func (p *Primary) onRingConfig(pkt *wire.Packet) {
-	if p.observeEpoch(pkt.Epoch) {
-		return // we were acting; the config proves a newer primary owns the log
-	}
-	if p.staleAuthority(pkt.Epoch) {
-		p.stats.StaleRingConfigs++
-		p.mx.sink.Emit(p.now(), obs.KindFenceHit, uint64(p.epoch), uint64(pkt.Epoch), uint64(pkt.Type))
-		return
+	if p.observeEpoch(pkt.Epoch) || p.staleAuthority(pkt, &p.stats.StaleRingConfigs) {
+		return // we were acting and the config proves a newer primary owns the log, or it is stale
 	}
 	if !p.replica {
 		return // an acting primary takes no forwarding role
@@ -461,8 +449,7 @@ func (p *Primary) quorumTick() {
 		q.probing = false
 		q.outstanding = 0
 		q.repairs = 0
-		p.stats.RingStalls++
-		p.mx.ringStalls.Inc()
+		atomic.AddUint64(&p.stats.RingStalls, 1)
 		p.mx.sink.Emit(now, obs.KindRingRepair, 0, uint64(q.ver), uint64(len(q.ring)))
 		p.armRingRepair()
 	}

@@ -2,6 +2,7 @@ package logger
 
 import (
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"lbrm/internal/obs"
@@ -157,27 +158,31 @@ func (c SecondaryConfig) candidates() []parentCand {
 	return out
 }
 
-// SecondaryStats counts a secondary logger's protocol activity.
+// SecondaryStats counts a secondary logger's protocol activity. Fields
+// tagged obs are registry counters too (see PrimaryStats).
 type SecondaryStats struct {
-	PacketsLogged     uint64 // data/retrans stored
-	Duplicates        uint64
-	NacksFromClients  uint64 // NACK packets received from local receivers
+	PacketsLogged uint64 `obs:"secondary.logged"` // data/retrans stored
+	Duplicates    uint64 `obs:"secondary.duplicates"`
+	// NacksFromClients counts NACK packets from local receivers: the site's
+	// inbound repair demand — the health engine's per-site crying-baby
+	// signal (DESIGN.md §15).
+	NacksFromClients  uint64 `obs:"secondary.nacks_from_clients"`
 	SeqsRequested     uint64 // sequence numbers requested by local receivers
-	RetransUnicast    uint64 // retransmissions served point-to-point
-	Remulticasts      uint64 // site-scoped multicast repairs
-	NacksToPrimary    uint64 // NACK packets sent up to the primary
+	RetransUnicast    uint64 `obs:"secondary.retrans_unicast"`  // retransmissions served point-to-point
+	Remulticasts      uint64 `obs:"secondary.remulticasts"`     // site-scoped multicast repairs
+	NacksToPrimary    uint64 `obs:"secondary.nacks_to_primary"` // NACK packets sent up to the primary
 	FetchesSatisfied  uint64 // log holes filled by an upstream repair (retrans/LogSync)
-	FetchesAbandoned  uint64
+	FetchesAbandoned  uint64 `obs:"secondary.fetches_abandoned"`
 	AckerSelections   uint64 // epochs this logger volunteered for
-	AcksSent          uint64
+	AcksSent          uint64 `obs:"secondary.acks_sent"`
 	ProbeResponses    uint64
 	DiscoveryReplies  uint64
 	RedirectsFollowed uint64
-	StaleRedirects    uint64 // redirects fenced by the primary epoch
-	SkippedAhead      uint64 // recovery-window skips (fell too far behind)
-	Rehomes           uint64 // parent changes after exhausting retries
-	ReparentsFollowed uint64 // TypeReparent announcements adopted
-	StaleReparents    uint64 // TypeReparent announcements fenced as stale
+	StaleRedirects    uint64 `obs:"secondary.fence.stale_redirects"` // redirects fenced by the primary epoch
+	SkippedAhead      uint64 `obs:"secondary.skipped_ahead"`         // recovery-window skips (fell too far behind)
+	Rehomes           uint64 `obs:"secondary.tree.rehomes"`          // parent changes after exhausting retries
+	ReparentsFollowed uint64 `obs:"secondary.tree.reparents"`        // TypeReparent announcements adopted
+	StaleReparents    uint64 `obs:"secondary.tree.stale_reparents"`  // TypeReparent announcements fenced as stale
 	Malformed         uint64
 }
 
@@ -186,6 +191,7 @@ type SecondaryStats struct {
 // and recovers its own losses from the primary so that only one NACK per
 // site crosses the tail circuit.
 type Secondary struct {
+	stats   SecondaryStats // first: 64-bit alignment of its words
 	cfg     SecondaryConfig
 	env     transport.Env
 	streams map[StreamKey]*secStream
@@ -225,7 +231,6 @@ type Secondary struct {
 	// MakespanRepair is on; released largest-demand-first on repairTimer.
 	repairQ     []RepairBatch
 	repairTimer vtime.Timer
-	stats       SecondaryStats
 	// mx caches the preregistered metric handles (all nil-safe): resolved
 	// once at construction so the hot path is atomic adds only.
 	mx secondaryMetrics
@@ -234,48 +239,20 @@ type Secondary struct {
 // secondaryMetrics holds the secondary's preregistered observability
 // handles. Every field no-ops when the sink is nil.
 type secondaryMetrics struct {
-	sink             *obs.Sink
-	tx               *obs.ClassCounters
-	logged           *obs.Counter
-	duplicates       *obs.Counter
-	acksSent         *obs.Counter
-	nacksFromClients *obs.Counter
-	nacksToPrimary   *obs.Counter
-	retransUnicast   *obs.Counter
-	remulticasts     *obs.Counter
-	abandoned        *obs.Counter
-	skippedAhead     *obs.Counter
-	staleRedirects   *obs.Counter
-	rehomes          *obs.Counter
-	reparents        *obs.Counter
-	staleReparents   *obs.Counter
-	primaryEpoch     *obs.Gauge
-	parentTier       *obs.Gauge
-	nackRanges       *obs.Histogram
+	sink         *obs.Sink
+	tx           *obs.ClassCounters
+	primaryEpoch *obs.Gauge
+	parentTier   *obs.Gauge
+	nackRanges   *obs.Histogram
 }
 
 func newSecondaryMetrics(sink *obs.Sink) secondaryMetrics {
 	return secondaryMetrics{
-		sink:       sink,
-		tx:         sink.Classes("secondary.tx", wire.TrafficClassNames()),
-		logged:     sink.Counter("secondary.logged"),
-		duplicates: sink.Counter("secondary.duplicates"),
-		acksSent:   sink.Counter("secondary.acks_sent"),
-		// nacks_from_clients is the site's inbound repair demand — the
-		// health engine's per-site crying-baby signal (DESIGN.md §15).
-		nacksFromClients: sink.Counter("secondary.nacks_from_clients"),
-		nacksToPrimary:   sink.Counter("secondary.nacks_to_primary"),
-		retransUnicast:   sink.Counter("secondary.retrans_unicast"),
-		remulticasts:     sink.Counter("secondary.remulticasts"),
-		abandoned:        sink.Counter("secondary.fetches_abandoned"),
-		skippedAhead:     sink.Counter("secondary.skipped_ahead"),
-		staleRedirects:   sink.Counter("secondary.fence.stale_redirects"),
-		rehomes:          sink.Counter("secondary.tree.rehomes"),
-		reparents:        sink.Counter("secondary.tree.reparents"),
-		staleReparents:   sink.Counter("secondary.tree.stale_reparents"),
-		primaryEpoch:     sink.Gauge("secondary.primary_epoch"),
-		parentTier:       sink.Gauge("secondary.tree.parent_tier"),
-		nackRanges:       sink.Histogram("secondary.nack.ranges", []uint64{1, 2, 4, 8, 16, 32}),
+		sink:         sink,
+		tx:           sink.Classes("secondary.tx", wire.TrafficClassNames()),
+		primaryEpoch: sink.Gauge("secondary.primary_epoch"),
+		parentTier:   sink.Gauge("secondary.tree.parent_tier"),
+		nackRanges:   sink.Histogram("secondary.nack.ranges", []uint64{1, 2, 4, 8, 16, 32}),
 	}
 }
 
@@ -334,6 +311,7 @@ func NewSecondary(cfg SecondaryConfig) *Secondary {
 		mx:        newSecondaryMetrics(cfg.Obs),
 	}
 	s.mx.parentTier.Set(int64(s.currentParent().tier))
+	cfg.Obs.Registry().AttachStats(&s.stats)
 	return s
 }
 
@@ -362,6 +340,7 @@ func (s *Secondary) Stats() SecondaryStats { return s.stats }
 // disk spill files. Safe to call once.
 func (s *Secondary) Stop() {
 	s.stopped = true
+	s.cfg.Obs.Registry().DetachStats(&s.stats)
 	for _, st := range s.streams {
 		st.store.Close()
 	}
@@ -543,11 +522,9 @@ func (s *Secondary) onData(from transport.Addr, p *wire.Packet) {
 	}
 	stored := st.store.Put(p.Seq, p.Payload, s.env.Now())
 	if !stored {
-		s.stats.Duplicates++
-		s.mx.duplicates.Inc()
+		atomic.AddUint64(&s.stats.Duplicates, 1)
 	} else {
-		s.stats.PacketsLogged++
-		s.mx.logged.Inc()
+		atomic.AddUint64(&s.stats.PacketsLogged, 1)
 		if p.Type == wire.TypeRetrans || p.Type == wire.TypeLogSync {
 			// A repair we logged filled a hole in our own log: the upward
 			// fetch (or a parent's repair multicast) recovered it.
@@ -560,8 +537,7 @@ func (s *Secondary) onData(from transport.Addr, p *wire.Packet) {
 				Seq: p.Seq, Epoch: p.Epoch,
 			}
 			s.send(st.source, &s.ackPkt)
-			s.stats.AcksSent++
-			s.mx.acksSent.Inc()
+			atomic.AddUint64(&s.stats.AcksSent, 1)
 		}
 	}
 	// Satisfy any local receivers waiting on this packet. A packet that
@@ -599,8 +575,7 @@ func (s *Secondary) onHeartbeat(from transport.Addr, p *wire.Packet) {
 	// (paper §7 extension).
 	if p.Flags&wire.FlagInlineData != 0 && p.Seq > 0 {
 		if st.store.Put(p.Seq, p.Payload, s.env.Now()) {
-			s.stats.PacketsLogged++
-			s.mx.logged.Inc()
+			atomic.AddUint64(&s.stats.PacketsLogged, 1)
 		}
 		if waiters := st.pendingReq[p.Seq]; len(waiters) > 0 {
 			delete(st.pendingReq, p.Seq)
@@ -616,8 +591,7 @@ const maxSeqsPerNack = 1024
 
 func (s *Secondary) onNack(from transport.Addr, p *wire.Packet) {
 	st := s.stream(KeyOf(p))
-	s.stats.NacksFromClients++
-	s.mx.nacksFromClients.Inc()
+	atomic.AddUint64(&s.stats.NacksFromClients, 1)
 	budget := maxSeqsPerNack
 	needFetch := false
 	for _, r := range p.Ranges {
@@ -713,14 +687,12 @@ func (s *Secondary) retransmit(st *secStream, seq uint64, to transport.Addr, via
 	}
 	if to == nil {
 		s.multicast(&p, s.cfg.RemcastTTL)
-		s.stats.Remulticasts++
-		s.mx.remulticasts.Inc()
+		atomic.AddUint64(&s.stats.Remulticasts, 1)
 		s.mx.sink.EmitFlight(s.now(), obs.KindServe, seq, uint64(path), 1)
 		return
 	}
 	s.send(to, &p)
-	s.stats.RetransUnicast++
-	s.mx.retransUnicast.Inc()
+	atomic.AddUint64(&s.stats.RetransUnicast, 1)
 	s.mx.sink.EmitFlight(s.now(), obs.KindServe, seq, uint64(path), 0)
 }
 
@@ -748,8 +720,7 @@ func (s *Secondary) clampWindow(st *secStream) {
 			s.putWaiters(w)
 		}
 	}
-	s.stats.SkippedAhead++
-	s.mx.skippedAhead.Inc()
+	atomic.AddUint64(&s.stats.SkippedAhead, 1)
 }
 
 // checkGaps schedules a fetch from the primary when the local log has
@@ -874,8 +845,7 @@ func (s *Secondary) fetchMissing(st *secStream) {
 	}
 	nack.SetTier(st.fetchTier)
 	s.send(st.primary, &nack)
-	s.stats.NacksToPrimary++
-	s.mx.nacksToPrimary.Inc()
+	atomic.AddUint64(&s.stats.NacksToPrimary, 1)
 	s.mx.nackRanges.Observe(uint64(len(ranges)))
 	if s.mx.sink != nil {
 		// Flight recorder: the aggregated upward fetch is the NACK hop of
@@ -918,8 +888,7 @@ func (s *Secondary) rehome() bool {
 		st.retries = 0
 		st.gaveUpBelow = 0
 	}
-	s.stats.Rehomes++
-	s.mx.rehomes.Inc()
+	atomic.AddUint64(&s.stats.Rehomes, 1)
 	s.mx.parentTier.Set(int64(cand.tier))
 	s.mx.sink.Emit(s.now(), obs.KindRehome, uint64(cand.tier), uint64(old.tier), uint64(s.slot))
 	return true
@@ -939,8 +908,7 @@ func (s *Secondary) onReparent(p *wire.Packet) {
 	}
 	t := p.Tier()
 	if (p.Epoch != 0 && p.Epoch < s.priEpochHigh) || p.TreeEpoch <= s.tierEpochs[t] {
-		s.stats.StaleReparents++
-		s.mx.staleReparents.Inc()
+		atomic.AddUint64(&s.stats.StaleReparents, 1)
 		s.mx.sink.Emit(s.now(), obs.KindReparent, uint64(t), uint64(p.TreeEpoch), 0)
 		return
 	}
@@ -974,8 +942,7 @@ func (s *Secondary) onReparent(p *wire.Packet) {
 			s.checkGaps(st)
 		}
 	}
-	s.stats.ReparentsFollowed++
-	s.mx.reparents.Inc()
+	atomic.AddUint64(&s.stats.ReparentsFollowed, 1)
 	s.mx.parentTier.Set(int64(cand.tier))
 	s.mx.sink.Emit(s.now(), obs.KindReparent, uint64(t), uint64(p.TreeEpoch), 1)
 }
@@ -1005,8 +972,7 @@ func (s *Secondary) abandon(st *secStream, ranges []wire.SeqRange) {
 		st.gaveUpBelow = hi
 	}
 	st.retries = 0
-	s.stats.FetchesAbandoned++
-	s.mx.abandoned.Inc()
+	atomic.AddUint64(&s.stats.FetchesAbandoned, 1)
 }
 
 func (s *Secondary) onAckerSelect(from transport.Addr, p *wire.Packet) {
@@ -1075,8 +1041,7 @@ func (s *Secondary) onRedirect(p *wire.Packet) {
 	// Epoch fence (§2.2.3): a redirect stamped below the highest primary
 	// epoch we have observed comes from a fenced, stale primary.
 	if p.Epoch < st.primaryEpoch {
-		s.stats.StaleRedirects++
-		s.mx.staleRedirects.Inc()
+		atomic.AddUint64(&s.stats.StaleRedirects, 1)
 		s.mx.sink.Emit(s.now(), obs.KindFenceHit, uint64(st.primaryEpoch), uint64(p.Epoch), uint64(p.Type))
 		return
 	}

@@ -244,13 +244,6 @@ func baseURL(target string) string {
 	return "http://" + target
 }
 
-// dumpDoc mirrors the obs.Dump JSON wire format's metric sections.
-type dumpDoc struct {
-	Counters   map[string]uint64                `json:"counters"`
-	Gauges     map[string]int64                 `json:"gauges"`
-	Histograms map[string]obs.HistogramSnapshot `json:"histograms"`
-}
-
 // ScrapeOnce polls every target once at nowNs, ingests snapshots, and
 // runs one health evaluation. Targets are scraped sequentially — the
 // fleet sizes lbrm-top watches don't need fan-out, and it keeps the
@@ -261,7 +254,7 @@ func (s *Scraper) ScrapeOnce(nowNs int64) []health.Alert {
 	for _, target := range s.targets {
 		st := s.status[target]
 		st.Scrapes++
-		doc, err := s.fetchDump(target)
+		snap, err := s.fetchDump(target)
 		if err != nil {
 			st.Up, st.Error = false, err.Error()
 			st.Failures++
@@ -269,29 +262,26 @@ func (s *Scraper) ScrapeOnce(nowNs int64) []health.Alert {
 		}
 		st.Up, st.Error = true, ""
 		st.LastOkNs = nowNs
-		s.samplers[target].SampleSnapshot(nowNs, obs.Snapshot{
-			Counters:   doc.Counters,
-			Gauges:     doc.Gauges,
-			Histograms: doc.Histograms,
-		})
+		s.samplers[target].SampleSnapshot(nowNs, snap)
 	}
 	return s.engine.Eval(nowNs)
 }
 
-func (s *Scraper) fetchDump(target string) (*dumpDoc, error) {
+// fetchDump decodes the metric sections of a target's JSON exposition
+// (obs.Dump's wire format shares obs.Snapshot's three keys).
+func (s *Scraper) fetchDump(target string) (snap obs.Snapshot, err error) {
 	resp, err := s.client.Get(baseURL(target) + "/metrics?format=json")
 	if err != nil {
-		return nil, err
+		return snap, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
+		return snap, fmt.Errorf("status %d", resp.StatusCode)
 	}
-	var doc dumpDoc
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 32<<20)).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("decode: %w", err)
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 32<<20)).Decode(&snap); err != nil {
+		return snap, fmt.Errorf("decode: %w", err)
 	}
-	return &doc, nil
+	return snap, nil
 }
 
 // ValidatePromOne scrapes a target's Prometheus endpoint and runs the

@@ -1,15 +1,28 @@
 package obs
 
 import (
+	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing uint64. All methods are nil-safe
-// and wait-free.
+// Counter is a monotonically increasing uint64: its own word (Inc/Add)
+// plus every stats word attached to its name (Registry.AttachStats). All
+// methods are nil-safe and wait-free.
 type Counter struct {
-	v atomic.Uint64
+	v   atomic.Uint64
+	att atomic.Pointer[attached]
+}
+
+// attached is an immutable view of a counter's attached words, replaced
+// whole under Registry.mu so a reader sees one consistent sum. Only the
+// newest view is ever appended to, and a view never indexes past its own
+// length, so attaching may extend the shared backing array in place.
+type attached struct {
+	folded uint64 // final totals of detached words
+	words  []*uint64
 }
 
 // Inc adds one.
@@ -31,7 +44,35 @@ func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	n := c.v.Load()
+	if a := c.att.Load(); a != nil {
+		n += a.folded
+		for _, w := range a.words {
+			n += atomic.LoadUint64(w)
+		}
+	}
+	return n
+}
+
+func (c *Counter) attach(w *uint64) {
+	var next attached
+	if old := c.att.Load(); old != nil {
+		next = *old
+	}
+	next.words = append(next.words, w)
+	c.att.Store(&next)
+}
+
+// detach folds w's total into the counter and forgets the pointer.
+func (c *Counter) detach(w *uint64) {
+	if old := c.att.Load(); old != nil {
+		if i := slices.Index(old.words, w); i >= 0 {
+			c.att.Store(&attached{
+				folded: old.folded + atomic.LoadUint64(w),
+				words:  slices.Delete(slices.Clone(old.words), i, i+1),
+			})
+		}
+	}
 }
 
 // Gauge is an instantaneous signed value. All methods are nil-safe and
@@ -183,6 +224,10 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.counterLocked(name)
+}
+
+func (r *Registry) counterLocked(name string) *Counter {
 	c := r.counters[name]
 	if c == nil {
 		c = &Counter{}
@@ -190,6 +235,34 @@ func (r *Registry) Counter(name string) *Counter {
 		r.gen.Add(1)
 	}
 	return c
+}
+
+// AttachStats makes the uint64 fields of *stats tagged `obs:"name"` the
+// storage of the registry counters so named: the owner counts an event with
+// one atomic.AddUint64 on the field, and Stats() and the registry read the
+// same word. A counter reports the sum over every word attached to its
+// name, so instances sharing a registry, and successive incarnations, add
+// up. The words must be 64-bit aligned: on 32-bit targets, put the stats
+// struct first in its owner. Cold path; a nil registry attaches nothing.
+func (r *Registry) AttachStats(stats any) { r.eachStat(stats, (*Counter).attach) }
+
+// DetachStats undoes AttachStats when the component stops: each word's
+// total stays in its counter, the pointers go, and the stopped instance is
+// no longer reachable from the registry. Later adds show in Stats() only.
+func (r *Registry) DetachStats(stats any) { r.eachStat(stats, (*Counter).detach) }
+
+func (r *Registry) eachStat(stats any, f func(*Counter, *uint64)) {
+	if r == nil {
+		return
+	}
+	v := reflect.ValueOf(stats).Elem()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Tag.Get("obs"); name != "" {
+			f(r.counterLocked(name), v.Field(i).Addr().Interface().(*uint64))
+		}
+	}
 }
 
 // Gauge registers (or finds) the named gauge. Returns nil on a nil
@@ -331,20 +404,11 @@ func (r *Registry) Snapshot() Snapshot {
 		Gauges:     make(map[string]int64),
 		Histograms: make(map[string]HistogramSnapshot),
 	}
-	if r == nil {
-		return s
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		s.Histograms[name] = h.snapshot()
-	}
+	r.Visit(
+		func(name string, c *Counter) { s.Counters[name] = c.Value() },
+		func(name string, g *Gauge) { s.Gauges[name] = g.Value() },
+		func(name string, h *Histogram) { s.Histograms[name] = h.snapshot() },
+	)
 	return s
 }
 

@@ -8,10 +8,12 @@
 //
 //   - Registration is the cold path: components resolve every metric they
 //     will ever touch once, at construction, and keep the returned
-//     pointers. Registration takes a mutex; the hot path never does.
-//   - The hot path is wait-free: Counter.Add, Gauge.Set, Histogram.Observe
-//     and Ring.Emit are a handful of atomic operations — no allocation, no
-//     locks, no map lookups.
+//     pointers; protocol counters are the component's own Stats words,
+//     lent to the registry by Registry.AttachStats. Registration takes a
+//     mutex; the hot path never does.
+//   - The hot path is wait-free: an atomic add on a stats word, Counter.Add,
+//     Gauge.Set, Histogram.Observe and Ring.Emit are a handful of atomic
+//     operations — no allocation, no locks, no map lookups.
 //   - Everything is nil-safe: a nil *Sink hands out nil metrics, and every
 //     method on a nil *Counter/*Gauge/*Histogram/*Ring is a no-op. An
 //     uninstrumented component pays a single predictable branch per
