@@ -32,7 +32,7 @@ test:
 	$(GO) test -race ./...
 
 allocgate:
-	$(GO) test ./internal/perf/ -run 'TestDatapathZeroAlloc|TestRecoveryZeroAlloc|TestUDPLoopbackZeroAlloc' -count=1
+	$(GO) test ./internal/perf/ -run 'TestDatapathZeroAlloc|TestSenderZeroAlloc|TestRecoveryZeroAlloc|TestUDPLoopbackZeroAlloc' -count=1
 	$(GO) test ./internal/perf/ -run '^$$' -bench . -benchmem -benchtime 10ms
 
 # perfgate re-measures the zero-allocation invariants and the batched

@@ -277,6 +277,9 @@ func gate(baselinePath string) bool {
 	if a := perf.MeasureDatapathAllocs(2000, obs.NewSink()); a != 0 {
 		fail("instrumented datapath allocates %.2f allocs/op, want 0", a)
 	}
+	if a := perf.MeasureSenderAllocs(2000, nil, true); a != 0 {
+		fail("sender Send+SourceAck allocates %.2f allocs/op, want 0", a)
+	}
 	if a := perf.MeasureRecoveryAllocs(1000); a != 0 {
 		fail("recovery episode allocates %.2f allocs/op, want 0", a)
 	}

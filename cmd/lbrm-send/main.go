@@ -172,7 +172,7 @@ func main() {
 	}
 	sc := bufio.NewScanner(os.Stdin)
 	for sc.Scan() {
-		send(append([]byte(nil), sc.Bytes()...))
+		send(sc.Bytes()) // Send copies before it returns
 	}
 	if err := sc.Err(); err != nil {
 		log.Fatal(err)

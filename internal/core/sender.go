@@ -12,7 +12,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -133,8 +132,8 @@ type SenderConfig struct {
 	// FailoverWait is how long to collect LogStateReplies before
 	// promoting the best replica.
 	FailoverWait time.Duration
-	// Obs receives metrics and trace events (nil = uninstrumented; the
-	// send path stays zero-allocation either way, see DESIGN.md §9).
+	// Obs receives metrics and trace events (nil = uninstrumented; the send
+	// path allocates nothing either way: DESIGN.md §6, TestSenderZeroAlloc).
 	Obs *obs.Sink
 }
 
@@ -233,12 +232,14 @@ type Sender struct {
 	env   transport.Env
 
 	seq      uint64
-	lastData *wire.Packet // most recent data packet (for inline heartbeats)
 	schedule *heartbeat.Schedule
 	hbTimer  vtime.Timer
 
-	// Retention until the logging service acknowledges.
-	retained     map[uint64]*retainedPkt
+	// Retention until the logging service acknowledges, which is exactly
+	// the seqs in (released, seq]: a power-of-two ring of payload buffers
+	// indexed by seq&(len-1), each reused in place. Release only moves the
+	// cursor, so the latest seq's slot outlives it (inline heartbeats).
+	slots        [][]byte
 	primaryAcked uint64 // cumulative primary logger seq
 	replicaAcked uint64 // cumulative replicated logger seq
 	released     uint64 // highest seq ever released from retention
@@ -346,11 +347,6 @@ func (s *Sender) now() int64 {
 	return s.env.Now().UnixNano()
 }
 
-type retainedPkt struct {
-	seq     uint64
-	payload []byte
-}
-
 type pendingAck struct {
 	seq    uint64
 	sentAt time.Time
@@ -376,7 +372,6 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 	}
 	s := &Sender{
 		cfg:        cfg,
-		retained:   make(map[uint64]*retainedPkt),
 		pending:    make(map[uint64]*pendingAck),
 		nackDemand: make(map[uint64]*nackWindow),
 		primary:    cfg.Primary,
@@ -434,7 +429,10 @@ func (s *Sender) after(d time.Duration, fn func()) vtime.Timer {
 func (s *Sender) LastSeq() uint64 { return s.seq }
 
 // Retained returns the number of unreleased packets.
-func (s *Sender) Retained() int { return len(s.retained) }
+func (s *Sender) Retained() int { return int(s.seq - s.released) }
+
+// slotOf returns the index of seq's retention slot.
+func (s *Sender) slotOf(seq uint64) int { return int(seq & uint64(len(s.slots)-1)) }
 
 // Epoch returns the current statistical-ack epoch (0 before the first).
 func (s *Sender) Epoch() uint32 { return s.epoch }
@@ -517,7 +515,8 @@ func (s *Sender) Start(env transport.Env) {
 }
 
 // Send multicasts one application payload, assigning it the next sequence
-// number. It returns the sequence number.
+// number. It returns the sequence number. The payload is copied before
+// Send returns, so the caller may reuse its buffer at once.
 func (s *Sender) Send(payload []byte) (uint64, error) {
 	if s.env == nil || s.stopped {
 		return 0, ErrNotStarted
@@ -525,9 +524,21 @@ func (s *Sender) Send(payload []byte) (uint64, error) {
 	if len(payload) > wire.MaxPayloadLen {
 		return 0, fmt.Errorf("core: payload %d exceeds max %d", len(payload), wire.MaxPayloadLen)
 	}
-	if len(s.retained) >= s.cfg.RetainLimit {
+	n := s.Retained()
+	if n >= s.cfg.RetainLimit {
 		atomic.AddUint64(&s.stats.SendErrors, 1)
 		return 0, ErrRetainLimit
+	}
+	if n == 0 {
+		s.retainSince = s.env.Now()
+	}
+	if n == len(s.slots) {
+		// Every slot is unreleased: double, each buffer to its seq's new index.
+		old := s.slots
+		s.slots = make([][]byte, max(2*len(old), 16))
+		for q := s.released + 1; q <= s.seq; q++ {
+			s.slots[s.slotOf(q)] = old[q&uint64(len(old)-1)]
+		}
 	}
 	s.seq++
 	seq := s.seq
@@ -537,11 +548,8 @@ func (s *Sender) Send(payload []byte) (uint64, error) {
 	}
 	s.multicast(&p)
 	atomic.AddUint64(&s.stats.DataSent, 1)
-	s.lastData = &p
-	if len(s.retained) == 0 {
-		s.retainSince = s.env.Now()
-	}
-	s.retained[seq] = &retainedPkt{seq: seq, payload: append([]byte(nil), payload...)}
+	i := s.slotOf(seq)
+	s.slots[i] = append(s.slots[i][:0], payload...)
 	s.epochPackets++
 	if s.cfg.RetransChannel != 0 {
 		s.scheduleChannelReplays(&p)
@@ -607,11 +615,12 @@ func (s *Sender) fireHeartbeat() {
 	next := s.schedule.OnHeartbeat()
 	p.HeartbeatIdx = s.schedule.Index()
 	p.PrimaryEpoch = s.primaryEpoch
-	if s.cfg.InlineHeartbeatMax > 0 && s.lastData != nil &&
-		len(s.lastData.Payload) <= s.cfg.InlineHeartbeatMax {
-		p.Flags |= wire.FlagInlineData
-		p.Payload = s.lastData.Payload
-		atomic.AddUint64(&s.stats.InlineHeartbeats, 1)
+	if s.cfg.InlineHeartbeatMax > 0 && s.seq > 0 {
+		if last := s.slots[s.slotOf(s.seq)]; len(last) <= s.cfg.InlineHeartbeatMax {
+			p.Flags |= wire.FlagInlineData
+			p.Payload = last
+			atomic.AddUint64(&s.stats.InlineHeartbeats, 1)
+		}
 	}
 	s.multicast(&p)
 	atomic.AddUint64(&s.stats.HeartbeatsSent, 1)
@@ -629,6 +638,11 @@ func (s *Sender) onSourceAck(p *wire.Packet) {
 		// the newer epoch.
 		atomic.AddUint64(&s.stats.StaleSourceAcks, 1)
 		s.mx.sink.Emit(s.now(), obs.KindFenceHit, uint64(s.primaryEpoch), uint64(p.Epoch), uint64(p.Type))
+		return
+	}
+	if p.Seq > s.seq || p.ReplicaSeq > s.seq {
+		// Never sent, so never logged: it would release past seq for good.
+		s.stats.Malformed++
 		return
 	}
 	atomic.AddUint64(&s.stats.SourceAcks, 1)
@@ -652,11 +666,6 @@ func (s *Sender) onSourceAck(p *wire.Packet) {
 		// re-elects every FailoverTimeout while the log recovers.
 		s.foProbes = 0
 	}
-	for seq := range s.retained {
-		if seq <= release {
-			delete(s.retained, seq)
-		}
-	}
 }
 
 // onNack serves retransmission requests from the retention buffer (the
@@ -675,13 +684,12 @@ func (s *Sender) onNack(from transport.Addr, p *wire.Packet) {
 }
 
 func (s *Sender) serveNack(from transport.Addr, seq uint64) {
-	rp := s.retained[seq]
-	if rp == nil {
-		return // released: the logging service has it
+	if seq <= s.released || seq > s.seq {
+		return // released (the logging service has it) or never sent
 	}
 	out := wire.Packet{
 		Type: wire.TypeRetrans, Flags: wire.FlagRetransmission,
-		Source: s.cfg.Source, Group: s.cfg.Group, Seq: seq, Payload: rp.payload,
+		Source: s.cfg.Source, Group: s.cfg.Group, Seq: seq, Payload: s.slots[s.slotOf(seq)],
 	}
 	if s.cfg.StatAck.Enabled {
 		w := s.nackDemand[seq]
@@ -941,7 +949,7 @@ func (s *Sender) failoverCheck() {
 		ackRef = s.retainSince
 	}
 	idle := s.env.Now().Sub(ackRef)
-	if len(s.retained) > 0 && idle >= s.cfg.FailoverTimeout && len(s.cfg.Replicas) > 0 {
+	if s.Retained() > 0 && idle >= s.cfg.FailoverTimeout && len(s.cfg.Replicas) > 0 {
 		s.beginFailover()
 	} else {
 		s.armFailoverCheck(s.foProbes)
@@ -1014,21 +1022,13 @@ func (s *Sender) completeFailover(fo *failoverState) {
 		Seq: s.released, Epoch: s.primaryEpoch,
 	}
 	s.send(fo.best, &prom)
-	// Bring the new primary up to date from the retention buffer, in
-	// sequence order: in-order re-supply lets the new primary's log
-	// advance contiguously (no gap bookkeeping while it catches up), and
-	// keeps the wire trace a pure function of the run's seed.
-	resupply := make([]uint64, 0, len(s.retained))
-	for seq := range s.retained {
-		if seq > fo.bestSeq {
-			resupply = append(resupply, seq)
-		}
-	}
-	sort.Slice(resupply, func(i, j int) bool { return resupply[i] < resupply[j] })
-	for _, seq := range resupply {
+	// Bring the new primary up to date from the retention ring, in sequence
+	// order: its log advances contiguously (no gap bookkeeping while it
+	// catches up) and the wire trace stays a pure function of the seed.
+	for seq := max(s.released, fo.bestSeq); seq < s.seq; seq++ { // sends seq+1: bestSeq is off the wire, +1 here could wrap
 		r := wire.Packet{
 			Type: wire.TypeRetrans, Flags: wire.FlagRetransmission,
-			Source: s.cfg.Source, Group: s.cfg.Group, Seq: seq, Payload: s.retained[seq].payload,
+			Source: s.cfg.Source, Group: s.cfg.Group, Seq: seq + 1, Payload: s.slots[s.slotOf(seq+1)],
 		}
 		s.send(fo.best, &r)
 	}

@@ -25,6 +25,28 @@ func TestDatapathZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSenderZeroAlloc is the source's allocation gate: a warmed Send plus
+// the SourceAck that releases it must not allocate — bare, with a live
+// observability sink, and with an inline heartbeat (InlineHeartbeatMax
+// set) firing between the two and reading its payload out of the
+// retention ring. Retention reuses its slots (DESIGN.md §6), so a per-PDU
+// copy, packet escape or ack-side walk that comes back fails here.
+func TestSenderZeroAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		sink   *obs.Sink
+		inline bool
+	}{
+		{"bare", nil, false},
+		{"obs", obs.NewSink(), false},
+		{"inline-heartbeat", nil, true},
+	} {
+		if allocs := MeasureSenderAllocs(5000, tc.sink, tc.inline); allocs != 0 {
+			t.Errorf("%s: steady-state Send+SourceAck allocates %.2f allocs/op, want 0", tc.name, allocs)
+		}
+	}
+}
+
 // TestRecoveryZeroAlloc pins the end-to-end recovery episode — gap
 // detect, NACK arm/fire, request decode, retransmit lookup, redelivery —
 // at zero steady-state allocations. It guards the episode pools (reqCount
