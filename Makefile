@@ -11,11 +11,16 @@ GO ?= go
 # benchmark.
 check: lint build test allocgate perfgate cover chaos fuzzsmoke benchsmoke
 
-# lint is go vet plus staticcheck. staticcheck is not vendored and dev
-# machines may be offline, so it runs only where the binary is already
-# on PATH (CI installs it; see .github/workflows/ci.yml) and is skipped
-# with a notice elsewhere — vet always runs.
+# lint is go vet, gofmt and staticcheck. Any tracked Go file gofmt would
+# rewrite fails it. staticcheck is not vendored and dev machines may be
+# offline, so it runs only where the binary is already on PATH (CI
+# installs it; see .github/workflows/ci.yml) and is skipped with a notice
+# elsewhere — vet and gofmt always run.
 lint: vet
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt -l lists:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -31,8 +36,10 @@ build:
 test:
 	$(GO) test -race ./...
 
+# allocgate runs every allocation gate — each is a Test...ZeroAlloc in
+# internal/perf — then one short pass over every micro-benchmark.
 allocgate:
-	$(GO) test ./internal/perf/ -run 'TestDatapathZeroAlloc|TestSenderZeroAlloc|TestRecoveryZeroAlloc|TestUDPLoopbackZeroAlloc' -count=1
+	$(GO) test ./internal/perf/ -run 'ZeroAlloc$$' -count=1
 	$(GO) test ./internal/perf/ -run '^$$' -bench . -benchmem -benchtime 10ms
 
 # perfgate re-measures the zero-allocation invariants and the batched

@@ -56,8 +56,8 @@ func TestScheduleRepairsStableOnTies(t *testing.T) {
 // a duplicate request within the window is not served twice.
 func TestSecondaryMakespanRepairOrdering(t *testing.T) {
 	s, env := newSecondary(t, SecondaryConfig{
-		MakespanRepair: true,
-		NackDelay:      10 * time.Millisecond,
+		MakespanRepair:   true,
+		NackDelay:        10 * time.Millisecond,
 		RemcastThreshold: 99, // keep everything unicast in this test
 	})
 	for seq := uint64(1); seq <= 6; seq++ {
@@ -97,8 +97,8 @@ func TestSecondaryMakespanRepairOrdering(t *testing.T) {
 // children within one window folds into a single site re-multicast.
 func TestSecondaryMakespanRepairCoalesces(t *testing.T) {
 	s, env := newSecondary(t, SecondaryConfig{
-		MakespanRepair: true,
-		NackDelay:      10 * time.Millisecond,
+		MakespanRepair:   true,
+		NackDelay:        10 * time.Millisecond,
 		RemcastThreshold: 3,
 	})
 	s.Recv(srcAddr, mustMarshal(t, dataPkt(1, "hot")))

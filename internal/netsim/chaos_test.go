@@ -161,19 +161,26 @@ func TestDuplicateModelDeliversTwice(t *testing.T) {
 	a := s1.NewHost("a", &recorder{})
 	rb := &recorder{}
 	b := s2.NewHost("b", rb)
+	c := s1.NewHost("c", &recorder{})
 	s2.TailDown().SetLoss(Duplicate{P: 1, Lag: 3 * time.Millisecond})
 	n.Start()
 	a.Env().Send(b.Addr(), []byte("x"))
+	// Between the two arrivals, the first copy's buffer is back in the
+	// pool and this send takes it: the second copy must own its own.
+	n.Clock().AfterFunc(41*time.Millisecond, func() { a.Env().Send(c.Addr(), []byte("y")) })
 	n.RunUntilIdle()
 	if len(rb.got) != 2 {
 		t.Fatalf("received %d copies, want 2", len(rb.got))
 	}
+	if rb.got[0].data != "x" || rb.got[1].data != "x" {
+		t.Fatalf("copies read %q and %q, want \"x\" twice", rb.got[0].data, rb.got[1].data)
+	}
 	if gap := rb.got[1].at.Sub(rb.got[0].at); gap != 3*time.Millisecond {
 		t.Fatalf("copies %v apart, want 3ms", gap)
 	}
-	c := s2.TailDown().Counters()
-	if c.Dups != 1 || c.Packets != 2 {
-		t.Fatalf("counters = %+v, want 1 dup of 2 traversals", c)
+	ctr := s2.TailDown().Counters()
+	if ctr.Dups != 1 || ctr.Packets != 2 {
+		t.Fatalf("counters = %+v, want 1 dup of 2 traversals", ctr)
 	}
 }
 

@@ -14,8 +14,9 @@ type LossModel interface {
 
 // PacketAwareLoss is an optional extension: models that need to inspect
 // the datagram (e.g. to target only data packets) implement it and the
-// link uses DropPacket instead of Drop. The buffer must not be retained or
-// modified.
+// link uses DropPacket instead of Drop. The buffer is only valid for the
+// call — the simulator reuses unicast buffers once a copy's life ends —
+// and must not be retained or modified.
 type PacketAwareLoss interface {
 	LossModel
 	DropPacket(now time.Time, rng *rand.Rand, data []byte) bool

@@ -28,6 +28,9 @@ type Sim struct {
 	running  bool
 	pending  int
 	executed uint64
+	// free holds fired Post records for reuse; a posted event has no
+	// handle, so nothing can reach it after it fires.
+	free []*event
 }
 
 // forceHeap selects the legacy heap scheduler for subsequently created
@@ -76,15 +79,43 @@ func (s *Sim) AfterFunc(d time.Duration, fn func()) Timer {
 	if fn == nil {
 		panic("vtime: AfterFunc with nil callback")
 	}
+	ev := &event{sim: s}
+	s.arm(ev, d, fn)
+	return ev
+}
+
+// Post schedules fn in exactly the (deadline, sequence) slot AfterFunc
+// would give it, but returns no handle: the event can be neither stopped
+// nor reset, so its record is recycled once it fires. With fn bound once
+// by the caller, a warmed Post does not allocate.
+func (s *Sim) Post(d time.Duration, fn func()) {
+	if fn == nil {
+		panic("vtime: Post with nil callback")
+	}
+	var ev *event
+	if k := len(s.free); k > 0 {
+		ev, s.free = s.free[k-1], s.free[:k-1]
+		// A new generation: no entry recorded under the old one can fire
+		// the recycled record.
+		ev.gen++
+	} else {
+		ev = &event{sim: s, posted: true}
+	}
+	s.arm(ev, d, fn)
+}
+
+// arm gives an event its deadline and sequence number and schedules it.
+func (s *Sim) arm(ev *event, d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	at := s.now.Add(d)
-	ev := &event{sim: s, at: at, atNS: at.Sub(s.start).Nanoseconds(), seq: s.nextSeq, fn: fn}
+	ev.at = s.now.Add(d)
+	ev.atNS = ev.at.Sub(s.start).Nanoseconds()
+	ev.seq = s.nextSeq
+	ev.fn = fn
 	s.nextSeq++
 	s.sched.schedule(ev)
 	s.pending++
-	return ev
 }
 
 // Len returns the number of pending (not yet fired, not stopped) events.
@@ -142,7 +173,12 @@ func (s *Sim) step() bool {
 	}
 	ev.fired = true
 	s.executed++
-	ev.fn()
+	fn := ev.fn
+	if ev.posted {
+		ev.fn = nil
+		s.free = append(s.free, ev)
+	}
+	fn()
 	return true
 }
 
@@ -182,6 +218,7 @@ type event struct {
 	stopped bool
 	fired   bool
 	inHeap  bool
+	posted  bool // created by Post: recycled through Sim.free after firing
 }
 
 // Stop implements Timer. The event is removed lazily from the scheduler.

@@ -302,3 +302,163 @@ func TestUseHeapScheduler(t *testing.T) {
 		t.Fatalf("NewSim default built %T, want *wheelSched", s.sched)
 	}
 }
+
+// postDriver replays a script that mixes handle-less Post events with
+// AfterFunc timers, Stop and Reset, and keeps a model of the queue: the
+// deadline of every posted event not yet fired, and the armed state of
+// every timer. Posted records are recycled, so a record that fired twice,
+// fired through a stale wheel entry, or fired off its own deadline shows
+// up against the model.
+type postDriver struct {
+	t       *testing.T
+	sim     *Sim
+	rng     *rand.Rand
+	timers  []Timer
+	armed   []bool
+	due     map[int]time.Time // posted id → deadline, until it fires
+	pending int               // the model's Len()
+	posts   int
+	order   []firing
+}
+
+func newPostDriver(t *testing.T, s *Sim, seed int64) *postDriver {
+	return &postDriver{t: t, sim: s, rng: rand.New(rand.NewSource(seed * 7919)), due: map[int]time.Time{}}
+}
+
+func (d *postDriver) after(id int, delay time.Duration) {
+	idx := len(d.timers)
+	d.timers = append(d.timers, d.sim.AfterFunc(delay, func() {
+		d.armed[idx] = false
+		d.pending--
+		d.fire(id)
+	}))
+	d.armed = append(d.armed, true)
+	d.pending++
+}
+
+func (d *postDriver) post(id int, delay time.Duration) {
+	d.due[id] = d.sim.Now().Add(max(delay, 0))
+	d.pending++
+	d.posts++
+	d.sim.Post(delay, func() {
+		want, ok := d.due[id]
+		if !ok {
+			d.t.Fatalf("post %d fired twice", id)
+		}
+		if now := d.sim.Now(); !now.Equal(want) {
+			d.t.Fatalf("post %d fired at %v, due %v", id, now, want)
+		}
+		delete(d.due, id)
+		d.pending--
+		d.fire(id)
+	})
+}
+
+func (d *postDriver) stop(i int) {
+	if got := d.timers[i].Stop(); got != d.armed[i] {
+		d.t.Fatalf("timer %d: Stop = %v, model armed = %v", i, got, d.armed[i])
+	}
+	if d.armed[i] {
+		d.armed[i] = false
+		d.pending--
+	}
+}
+
+func (d *postDriver) reset(i int, delay time.Duration) {
+	if got := d.timers[i].Reset(delay); got != d.armed[i] {
+		d.t.Fatalf("timer %d: Reset = %v, model armed = %v", i, got, d.armed[i])
+	}
+	if !d.armed[i] {
+		d.armed[i] = true
+		d.pending++
+	}
+}
+
+// fire records one firing, checks the queue length against the model,
+// and lets the firing schedule, post, reset or stop further work — the
+// same draw on both schedulers, whose firing orders must match.
+func (d *postDriver) fire(id int) {
+	d.order = append(d.order, firing{id: id, at: d.sim.Now()})
+	d.checkLen()
+	if id >= 100000 {
+		return
+	}
+	next := 100000 + len(d.order)
+	switch d.rng.Intn(8) {
+	case 0:
+		d.post(next, 0)
+	case 1:
+		d.post(next, time.Duration(d.rng.Int63n(int64(3*time.Second))))
+	case 2:
+		d.after(next, 777*time.Microsecond)
+	case 3:
+		d.reset(d.rng.Intn(len(d.timers)), time.Duration(d.rng.Int63n(int64(5*time.Second))))
+	case 4:
+		d.stop(d.rng.Intn(len(d.timers)))
+	}
+}
+
+func (d *postDriver) checkLen() {
+	if got := d.sim.Len(); got != d.pending {
+		d.t.Fatalf("Len() = %d, model pending = %d", got, d.pending)
+	}
+}
+
+// TestPostMatchesHeapModel is TestWheelMatchesHeapModel with Post in the
+// mix: random posts interleave with AfterFunc, Stop and Reset across every
+// wheel level and the overflow heap, top-level and from inside callbacks.
+// The wheel and the reference heap must fire identically; Len() and
+// Executed() must match the model exactly; and every posted event must
+// fire exactly once, at its deadline, although its record is recycled.
+func TestPostMatchesHeapModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			ops := genScript(seed, 600)
+			flip := rand.New(rand.NewSource(-seed))
+			run := func(s *Sim) *postDriver {
+				d := newPostDriver(t, s, seed)
+				d.after(-1, time.Hour) // a timer to Stop/Reset from the start
+				for id, o := range ops {
+					switch o.kind {
+					case 0:
+						d.after(id, o.delay)
+					case 1:
+						d.stop(o.tgt % len(d.timers))
+					case 2:
+						d.reset(o.tgt%len(d.timers), o.delay)
+					case 3:
+						d.sim.RunFor(o.delay)
+					}
+					if o.kind == 3 || flip.Intn(2) == 0 {
+						d.post(-2-id, o.delay)
+					}
+					d.checkLen()
+				}
+				flip.Seed(-seed)
+				d.sim.Run()
+				d.checkLen()
+				if d.pending != 0 || len(d.due) != 0 {
+					t.Fatalf("queue drained with %d pending, %d posts unfired", d.pending, len(d.due))
+				}
+				if got := d.sim.Executed(); got != uint64(len(d.order)) {
+					t.Fatalf("Executed() = %d, %d firings", got, len(d.order))
+				}
+				if free := len(d.sim.free); free == 0 || free >= d.posts {
+					t.Fatalf("%d posts left %d recycled records: recycling not exercised", d.posts, free)
+				}
+				return d
+			}
+			wheel := run(newWheelSim(epoch))
+			heap := run(newHeapSim(epoch))
+			if len(wheel.order) != len(heap.order) {
+				t.Fatalf("firing count diverged: wheel %d heap %d", len(wheel.order), len(heap.order))
+			}
+			for i := range wheel.order {
+				if wheel.order[i] != heap.order[i] {
+					t.Fatalf("firing %d diverged: wheel %+v heap %+v", i, wheel.order[i], heap.order[i])
+				}
+			}
+		})
+	}
+}
