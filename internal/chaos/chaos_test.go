@@ -252,9 +252,9 @@ func TestChaosMatrix(t *testing.T) {
 
 // TestChaosMetricsCrossCheck drives one seed through every schedule class
 // and requires the observability ledgers to reconcile: every run already
-// enforces the metrics-reconcile, nack-budget-metrics and epoch-gauge
-// invariants inside checkFinalInvariants (component metrics vs independent
-// wire-tap counts, across crash/restart incarnations); this test
+// enforces the metrics-reconcile, nack-budget and epoch-gauge invariants
+// in its checkers (component metrics vs independent wire-tap counts,
+// across crash/restart incarnations); this test
 // additionally asserts the merged fleet snapshot is populated — a silently
 // empty registry would reconcile trivially.
 func TestChaosMetricsCrossCheck(t *testing.T) {

@@ -1,13 +1,5 @@
 package chaos
 
-// The health side of the harness (DESIGN.md §15): every run arms the
-// health/SLO engine over per-site series fed from the same vtime tick as
-// the flight sampler, so detection latency is measured against the fault
-// schedule under the exact conditions the invariants replay. Dedicated
-// HealthFault schedules inject the three canonical detection targets —
-// the §6 crying-baby receiver, a sustained regional loss episode, and
-// (via the quorum schedule) a replication ring stall.
-
 import (
 	"fmt"
 	"math/rand"
@@ -55,59 +47,84 @@ func healthSchedule(cfg Config, rng *rand.Rand) []Fault {
 	return nil // healthFaultNone: the zero-alert baseline
 }
 
-// startHealth builds the engine and its per-entity samplers: one entity
-// per site (secondary + receivers merged — the site's aggregate repair
-// demand), one "servers" entity for the primary tier.
-func (h *harness) startHealth() {
-	h.healthSink = obs.NewSink()
-	h.hEngine = health.NewEngine(healthConfig(), h.healthSink)
-	for s := range h.siteSecSink {
-		smp := series.NewSampler(nil, healthSeriesCap)
-		h.siteSampler = append(h.siteSampler, smp)
-		h.hEngine.AddEntity(fmt.Sprintf("site%d", s+1), false, smp)
-	}
-	h.srvSampler = series.NewSampler(nil, healthSeriesCap)
-	h.hEngine.AddEntity("servers", true, h.srvSampler)
+// healthChecker is the health side of the harness (DESIGN.md §15). Every
+// run arms the health/SLO engine over one entity per site (secondary and
+// receivers merged: the site's aggregate repair demand) and one "servers"
+// entity for the primary tier, sampled and evaluated on the flight
+// sampler's tick, so detection latency is measured against the fault
+// schedule under the exact conditions the invariants replay. Dedicated
+// HealthFault schedules inject the canonical detection targets: the §6
+// crying-baby receiver and a sustained regional loss episode; the quorum
+// schedule's ring-partition is the ring-stall target.
+type healthChecker struct {
+	res    *Result
+	start  time.Time
+	sink   *obs.Sink
+	engine *health.Engine
+	// samplers[i] samples members[i]: site i, the servers last.
+	samplers []*series.Sampler
+	members  [][]*node
 }
 
-// sampleHealth ingests one vtime snapshot per entity and evaluates the
-// rules; called from the flight sampler's tick so the health gauges in
-// the flight log are at most one cadence stale.
-func (h *harness) sampleHealth(nowNs int64) {
-	for s, smp := range h.siteSampler {
-		snaps := make([]obs.Snapshot, 0, 1+len(h.siteRcvSink[s]))
-		snaps = append(snaps, h.siteSecSink[s].Registry().Snapshot())
-		for _, sink := range h.siteRcvSink[s] {
-			snaps = append(snaps, sink.Registry().Snapshot())
+func newHealthChecker(res *Result, f *fleet, start time.Time) *healthChecker {
+	c := &healthChecker{res: res, start: start, sink: obs.NewSink()}
+	c.engine = health.NewEngine(healthConfig(), c.sink)
+	var servers []*node
+	for _, n := range f.nodes {
+		if n.site >= len(c.members) {
+			c.members = append(c.members, nil)
 		}
-		smp.SampleSnapshot(nowNs, obs.Merge(snaps...))
-	}
-	snaps := make([]obs.Snapshot, len(h.srvSinks))
-	for i, sink := range h.srvSinks {
-		snaps[i] = sink.Registry().Snapshot()
-	}
-	h.srvSampler.SampleSnapshot(nowNs, obs.Merge(snaps...))
-	h.hEngine.Eval(nowNs)
-}
-
-// finishHealth snapshots the engine's verdict into the Result: full
-// alert history (cleared then still-active, in raise order within each
-// group) and the first-raise offset per rule.
-func (h *harness) finishHealth() {
-	h.res.HealthBound = h.hEngine.Config().DetectionBound()
-	h.res.HealthEvals = h.hEngine.Evals()
-	h.res.HealthAlerts = append(h.hEngine.History(), h.hEngine.Active()...)
-	h.res.HealthDetection = make(map[string]time.Duration)
-	startNs := h.start.UnixNano()
-	for _, a := range h.res.HealthAlerts {
-		at := time.Duration(a.RaisedAt - startNs)
-		if cur, ok := h.res.HealthDetection[a.RuleName]; !ok || at < cur {
-			h.res.HealthDetection[a.RuleName] = at
+		if n.site >= 0 {
+			c.members[n.site] = append(c.members[n.site], n)
+		} else if n.pfx == "primary" {
+			servers = append(servers, n)
 		}
 	}
+	c.members = append(c.members, servers)
+	for i := range c.members {
+		c.samplers = append(c.samplers, series.NewSampler(nil, healthSeriesCap))
+		if i < len(c.members)-1 {
+			c.engine.AddEntity(fmt.Sprintf("site%d", i+1), false, c.samplers[i])
+		} else {
+			c.engine.AddEntity("servers", true, c.samplers[i])
+		}
+	}
+	return c
 }
 
-// checkHealthInvariants enforces the observability contract:
+func (c *healthChecker) observe(ev *event) {
+	if ev.kind != evSample {
+		return
+	}
+	now := ev.at.UnixNano()
+	for i, smp := range c.samplers {
+		snaps := make([]obs.Snapshot, len(c.members[i]))
+		for j, n := range c.members[i] {
+			snaps[j] = n.sink.Registry().Snapshot()
+		}
+		smp.SampleSnapshot(now, obs.Merge(snaps...))
+	}
+	c.engine.Eval(now)
+}
+
+// final records the engine's verdict — the full alert history (cleared
+// then still-active, in raise order within each group) and the first
+// raise offset per rule — then checks it.
+func (c *healthChecker) final() {
+	c.res.HealthBound = c.engine.Config().DetectionBound()
+	c.res.HealthEvals = c.engine.Evals()
+	c.res.HealthAlerts = append(c.engine.History(), c.engine.Active()...)
+	c.res.HealthDetection = make(map[string]time.Duration)
+	for _, a := range c.res.HealthAlerts {
+		at := time.Duration(a.RaisedAt - c.start.UnixNano())
+		if cur, ok := c.res.HealthDetection[a.RuleName]; !ok || at < cur {
+			c.res.HealthDetection[a.RuleName] = at
+		}
+	}
+	c.check()
+}
+
+// check enforces the observability contract:
 //
 //   - health-false-positive: a run with an empty fault schedule must
 //     never raise any alert;
@@ -117,35 +134,35 @@ func (h *harness) finishHealth() {
 //     crying-baby alert on the right site, regional-loss as any alert on
 //     the afflicted site (or a fleet NACK storm), and a quorum
 //     ring-partition as a ring-stall alert on the servers entity.
-func (h *harness) checkHealthInvariants() {
-	if len(h.res.Schedule) == 0 {
-		if n := len(h.res.HealthAlerts); n > 0 {
-			h.violate("health-false-positive", fmt.Sprintf(
-				"%d alerts on a faultless run (first: %+v)", n, h.res.HealthAlerts[0]))
+func (c *healthChecker) check() {
+	if len(c.res.Schedule) == 0 {
+		if n := len(c.res.HealthAlerts); n > 0 {
+			c.res.violate("health-false-positive",
+				"%d alerts on a faultless run (first: %+v)", n, c.res.HealthAlerts[0])
 		}
 		return
 	}
-	for _, f := range h.res.Schedule {
+	for _, f := range c.res.Schedule {
 		switch f.Kind {
 		case "crying-baby":
 			site := fmt.Sprintf("site%d", f.Site+1)
-			h.requireDetection(f, "crying-baby alert on "+site, func(a health.Alert) bool {
+			c.requireDetection(f, "crying-baby alert on "+site, func(a health.Alert) bool {
 				return a.Rule == health.RuleCryingBaby && a.Entity == site
 			})
 		case "regional-loss":
 			site := fmt.Sprintf("site%d", f.Site+1)
-			h.requireDetection(f, "site alert on "+site+" or fleet NACK storm", func(a health.Alert) bool {
+			c.requireDetection(f, "site alert on "+site+" or fleet NACK storm", func(a health.Alert) bool {
 				return a.Entity == site || a.Rule == health.RuleNackStorm
 			})
 		case "ring-partition":
 			var stalls uint64
-			for _, sink := range h.srvSinks {
-				stalls += sink.Counter("primary.quorum.ring_stalls").Value()
+			for _, n := range c.members[len(c.members)-1] {
+				stalls += n.sink.Counter("primary.quorum.ring_stalls").Value()
 			}
 			if stalls == 0 {
 				break // the fault produced no symptom; nothing to detect
 			}
-			h.requireDetection(f, "ring-stall alert", func(a health.Alert) bool {
+			c.requireDetection(f, "ring-stall alert", func(a health.Alert) bool {
 				return a.Rule == health.RuleRingStall
 			})
 		}
@@ -154,11 +171,11 @@ func (h *harness) checkHealthInvariants() {
 
 // requireDetection checks that some matching alert raised within the
 // detection bound of the fault start.
-func (h *harness) requireDetection(f Fault, what string, match func(health.Alert) bool) {
-	bound := h.res.HealthBound
-	startNs := h.start.UnixNano()
+func (c *healthChecker) requireDetection(f Fault, what string, match func(health.Alert) bool) {
+	bound := c.res.HealthBound
+	startNs := c.start.UnixNano()
 	best := time.Duration(-1)
-	for _, a := range h.res.HealthAlerts {
+	for _, a := range c.res.HealthAlerts {
 		if !match(a) {
 			continue
 		}
@@ -169,10 +186,9 @@ func (h *harness) requireDetection(f Fault, what string, match func(health.Alert
 	}
 	switch {
 	case best < 0:
-		h.violate("health-detection", fmt.Sprintf("%s never raised (fault %v)", what, f))
+		c.res.violate("health-detection", "%s never raised (fault %v)", what, f)
 	case best > bound:
-		h.violate("health-detection", fmt.Sprintf(
-			"%s raised %v after the fault, beyond the documented bound %v (fault %v)",
-			what, best, bound, f))
+		c.res.violate("health-detection", "%s raised %v after the fault, beyond the documented bound %v (fault %v)",
+			what, best, bound, f)
 	}
 }

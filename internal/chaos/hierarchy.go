@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 )
@@ -23,20 +22,8 @@ import (
 //     together. Receivers must walk both dead tiers in order and reach
 //     the primary with NACKs stamped at the primary's global tier.
 //
-// The invariants enforced after every run (DESIGN.md §13):
-//
-//   - tier-skip (checked live in the wire tap): every NACK arriving at
-//     the primary's host is stamped treeDepth — a lower stamp means some
-//     live tier was skipped on the way up;
-//   - rehome / rehome-converge: the faulted site's secondary provably
-//     left its dead parent and, per class, ended where the protocol says
-//     it must (back home after a crash-restart, on a sibling tier after
-//     a partition);
-//   - tier-walk (cascade): recovery pressure reached the primary at all;
-//   - hierarchy-no-skip / hierarchy-abandoned: no acked loss across
-//     re-parenting — every receiver delivered every sequence the sender
-//     sent and no recovery range was ever abandoned (hierarchy schedules
-//     never crash receivers, so the delivery ledger is complete).
+// The invariants (DESIGN.md §13) are tierSkip's, hierarchyChecker's and
+// noSkip's.
 const (
 	hierFaultRegionalCrash = "regional-crash"
 	hierFaultTierPartition = "tier-partition"
@@ -88,104 +75,60 @@ func hierarchySchedule(cfg Config, rng *rand.Rand) []Fault {
 	return out
 }
 
-// checkHierarchyInvariants enforces the tree-degradation invariants after
-// a hierarchy-schedule run (tier-skip is enforced live, in the tap).
-func (h *harness) checkHierarchyInvariants() {
-	if h.cfg.Regions <= 0 {
-		return
-	}
-	var crashed, partitioned, cascaded bool
+// hierarchyChecker checks where the faulted site's secondary ended up
+// after a regional crash or partition (rehome, rehome-converge). The
+// tier-skip and tier-walk checks are tierSkip's, no-acked-loss is
+// noSkip's.
+type hierarchyChecker struct {
+	res *Result
+	f   *fleet
+}
+
+func (hierarchyChecker) observe(*event) {}
+
+func (c hierarchyChecker) final() {
+	var crashed, cascaded bool
 	region, site := -1, -1
-	for _, f := range h.res.Schedule {
+	for _, f := range c.res.Schedule {
 		switch f.Kind {
-		case "crash-regional":
-			crashed, region = true, f.Idx
-		case "partition-regional":
-			partitioned, region = true, f.Idx
+		case "crash-regional", "partition-regional":
+			crashed, region = f.Kind == "crash-regional", f.Idx
 		case "crash-secondary":
 			cascaded = true
 		case "down-outage":
 			site = f.Site
 		}
 	}
-	if site < 0 || region < 0 {
-		return // "none"-style schedule: nothing to prove
+	// A cascade kills both lower tiers together: tierSkip checks the walk.
+	if site < 0 || region < 0 || cascaded {
+		return
 	}
-
-	switch {
-	case cascaded:
-		// Both lower tiers were dead while the site had demand: receivers
-		// must have walked the chain all the way to the primary (every
-		// such NACK's tier 2 stamp was already checked in the tap).
-		if h.priNacks == 0 {
-			h.violate("tier-walk",
-				"cascade run, but no NACK ever reached the primary's host")
-		}
-	case crashed:
-		// The faulted site's secondary must have re-homed off its dead
-		// parent and then followed the reborn regional's announcement
-		// (tree epoch 2) back: the sibling detour is observable in
-		// Rehomes, the return in ReparentsFollowed and the final parent.
-		st := h.secondaries[site].Stats()
-		if st.Rehomes == 0 {
-			h.violate("rehome", fmt.Sprintf(
-				"site%d secondary never re-homed off its crashed regional (fetches=%d)",
-				site+1, st.NacksToPrimary))
-		}
-		if st.ReparentsFollowed == 0 {
-			h.violate("rehome-converge", fmt.Sprintf(
-				"site%d secondary never followed the reborn regional's announcement", site+1))
-		}
-		addr, tier := h.secondaries[site].Parent()
-		home := h.tb.Regions[region].LoggerNode.Addr()
-		if addr != home || tier != 1 {
-			h.violate("rehome-converge", fmt.Sprintf(
-				"site%d secondary parked on %v tier %d, want reborn regional %v tier 1",
-				site+1, addr, tier, home))
-		}
-	case partitioned:
+	// The faulted site's secondary must have re-homed off its dead or
+	// isolated parent: the sibling detour is observable in Rehomes.
+	sec := c.f.secondaries[site]
+	st := sec.Stats()
+	if st.Rehomes == 0 {
+		c.res.violate("rehome", "site%d secondary never re-homed off its faulted regional (fetches=%d)",
+			site+1, st.NacksToPrimary)
+	}
+	addr, tier := sec.Parent()
+	if !crashed {
 		// The regional healed without restarting, so no announcement pulls
 		// children back: the re-homed secondary must have stopped at the
 		// sibling — the lowest live tier — and never parked on the primary.
-		st := h.secondaries[site].Stats()
-		if st.Rehomes == 0 {
-			h.violate("rehome", fmt.Sprintf(
-				"site%d secondary never re-homed off its partitioned regional", site+1))
-		}
-		addr, tier := h.secondaries[site].Parent()
 		if tier > 1 {
-			h.violate("rehome-converge", fmt.Sprintf(
-				"site%d secondary degraded past the live sibling tier to %v tier %d",
-				site+1, addr, tier))
+			c.res.violate("rehome-converge", "site%d secondary degraded past the live sibling tier to %v tier %d",
+				site+1, addr, tier)
 		}
+		return
 	}
-
-	// No acked loss across re-parenting: hierarchy schedules never crash
-	// receivers, so the OnData ledger is complete — every receiver must
-	// hold every sequence, and none may have abandoned a recovery range.
-	for s := range h.delivered {
-		for j := range h.delivered[s] {
-			var missing []uint64
-			for seq := uint64(1); seq <= h.res.LastSeq && len(missing) < 8; seq++ {
-				if !h.delivered[s][j][seq] {
-					missing = append(missing, seq)
-				}
-			}
-			if len(missing) > 0 {
-				h.violate("hierarchy-no-skip", fmt.Sprintf(
-					"site%d/rcv%d never delivered seqs %v (lastSeq %d)",
-					s+1, j, missing, h.res.LastSeq))
-			}
-		}
+	// The reborn regional's announcement (tree epoch 2) pulls it back:
+	// the return is observable in ReparentsFollowed and the final parent.
+	if st.ReparentsFollowed == 0 {
+		c.res.violate("rehome-converge", "site%d secondary never followed the reborn regional's announcement", site+1)
 	}
-	var abandoned uint64
-	for s := range h.receivers {
-		for _, r := range h.receivers[s] {
-			abandoned += r.Stats().RangesAbandoned
-		}
-	}
-	if abandoned > 0 {
-		h.violate("hierarchy-abandoned", fmt.Sprintf(
-			"%d recovery ranges abandoned across receivers", abandoned))
+	if home := c.f.tb.Regions[region].LoggerNode.Addr(); addr != home || tier != 1 {
+		c.res.violate("rehome-converge", "site%d secondary parked on %v tier %d, want reborn regional %v tier 1",
+			site+1, addr, tier, home)
 	}
 }

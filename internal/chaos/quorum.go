@@ -1,11 +1,11 @@
 package chaos
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"time"
 
+	"lbrm"
 	"lbrm/internal/wire"
 )
 
@@ -20,16 +20,11 @@ import (
 // unrecoverable, and no source-acked sequence is lost.
 //
 // The crash-primary class is the adversarial centerpiece: a sync-class
-// blackout on the primary's up-link first starves the replicas of every
-// LogSync record and ring token (the primary keeps logging and — in
-// quorum mode — keeps parking acks), then the primary crashes at the
-// blackout's edge. Quorum mode survives because the sender still retains
-// everything past the parked watermark and re-supplies it to the promoted
-// replica; with quorum reverted (quorumRevert) the same schedule releases
-// the sender's buffer against a primary that is the packets' only copy,
-// and the loss becomes visible as receiver skips, abandoned ranges and
-// backfill skips — the proof that the mechanism, not luck, closes the
-// window.
+// blackout on the primary's up-link starves the replicas first, then the
+// primary crashes at the blackout's edge. Quorum mode survives because
+// the sender still retains everything past the parked watermark; with
+// quorumRevert the same schedule loses acked data, visibly — the proof
+// that the mechanism, not luck, closes the window (DESIGN.md §12).
 const (
 	quorumFaultCrashPrimary = "crash-primary"
 	quorumFaultCrashReplica = "crash-replica"
@@ -37,22 +32,16 @@ const (
 	quorumFaultNone         = "none"
 )
 
-// classDrop is a packet-aware loss model dropping one wire traffic class
-// with probability p (p ≥ 1 is a class gate). Undecodable runts pass.
-type classDrop struct {
-	cls wire.TrafficClass
-	p   float64
-}
+// classGate is a packet-aware loss model dropping every packet of one
+// wire traffic class. Undecodable runts pass.
+type classGate wire.TrafficClass
 
 // Drop implements netsim.LossModel (class unknown without bytes: pass).
-func (classDrop) Drop(time.Time, *rand.Rand) bool { return false }
+func (classGate) Drop(time.Time, *rand.Rand) bool { return false }
 
 // DropPacket implements netsim.PacketAwareLoss.
-func (c classDrop) DropPacket(_ time.Time, rng *rand.Rand, data []byte) bool {
-	if len(data) <= 3 || wire.ClassOf(wire.Type(data[3])) != c.cls {
-		return false
-	}
-	return c.p >= 1 || rng.Float64() < c.p
+func (c classGate) DropPacket(_ time.Time, _ *rand.Rand, data []byte) bool {
+	return len(data) > 3 && wire.ClassOf(wire.Type(data[3])) == wire.TrafficClass(c)
 }
 
 // quorumSchedule derives the quorum durability schedule from the seed:
@@ -95,64 +84,42 @@ func quorumSchedule(cfg Config, rng *rand.Rand) []Fault {
 	return out
 }
 
-// checkQuorumInvariants enforces invariant 11 after a quorum-schedule run
-// (it also runs — and is meant to trip — under the quorumRevert knob,
-// where the same schedule executes with replication disabled):
+// quorumChecker holds the server side of invariant 11 (DESIGN.md §12);
+// the receiver side is noSkip. It also runs — and is meant to trip —
+// under the quorumRevert knob, where the same schedule executes with
+// replication disabled:
 //
-//   - quorum-no-skip: every receiver delivered every sequence number the
-//     sender ever sent, end to end (the quorum schedule never crashes
-//     receivers, so the harness's OnData delivery ledger is complete);
-//   - quorum-abandoned: no receiver ever abandoned a recovery range;
 //   - quorum-skip: no promoted replica ever declared a backfill hole
 //     unrecoverable;
-//   - quorum-acked-loss: the highest source-acked sequence the wire tap
-//     saw leave any primary is retained contiguously by the server
-//     holding authority at the end of the run.
-func (h *harness) checkQuorumInvariants() {
-	if h.cfg.Quorum <= 0 {
-		return
+//   - quorum-acked-loss: the highest sequence any primary source-acked on
+//     the wire (delivered traversals: a lost ack never released anything
+//     at the sender) is held contiguously by the server acting at the
+//     end of the run.
+type quorumChecker struct {
+	res    *Result
+	f      *fleet
+	maxAck uint64
+}
+
+func (c *quorumChecker) observe(ev *event) {
+	if ev.pkt != nil && ev.pkt.Type == wire.TypeSourceAck && !ev.tap.Dropped {
+		c.maxAck = max(c.maxAck, ev.pkt.Seq)
 	}
-	for s := range h.delivered {
-		for j := range h.delivered[s] {
-			var missing []uint64
-			for seq := uint64(1); seq <= h.res.LastSeq && len(missing) < 8; seq++ {
-				if !h.delivered[s][j][seq] {
-					missing = append(missing, seq)
-				}
-			}
-			if len(missing) > 0 {
-				h.violate("quorum-no-skip", fmt.Sprintf(
-					"site%d/rcv%d never delivered seqs %v (lastSeq %d)",
-					s+1, j, missing, h.res.LastSeq))
-			}
-		}
-	}
-	var abandoned uint64
-	for s := range h.receivers {
-		for _, r := range h.receivers[s] {
-			abandoned += r.Stats().RangesAbandoned
-		}
-	}
-	if abandoned > 0 {
-		h.violate("quorum-abandoned", fmt.Sprintf(
-			"%d recovery ranges abandoned across receivers", abandoned))
-	}
+}
+
+func (c *quorumChecker) final() {
 	var skipped uint64
-	for _, p := range h.primaries {
+	for _, p := range c.f.primaries {
 		skipped += p.Stats().BackfillSkipped
 	}
 	if skipped > 0 {
-		h.violate("quorum-skip", fmt.Sprintf(
-			"%d sequence numbers declared unrecoverable by promoted replicas", skipped))
+		c.res.violate("quorum-skip", "%d sequence numbers declared unrecoverable by promoted replicas", skipped)
 	}
-	for i, node := range h.primaryNodes {
-		if node.Crashed() || h.primaries[i].IsReplica() {
-			continue
-		}
-		if got := h.primaries[i].Contiguous(h.logKey); got < h.maxSourceAck {
-			h.violate("quorum-acked-loss", fmt.Sprintf(
-				"acting primary holds %d contiguous but %d was source-acked on the wire",
-				got, h.maxSourceAck))
+	key := lbrm.LogStreamKey{Source: c.f.tb.Source, Group: c.f.tb.Group}
+	for _, p := range c.f.acting() {
+		if got := p.Contiguous(key); got < c.maxAck {
+			c.res.violate("quorum-acked-loss", "acting primary holds %d contiguous but %d was source-acked on the wire",
+				got, c.maxAck)
 		}
 	}
 }

@@ -184,14 +184,11 @@ func (c *Cluster) installTap(isl *Island) {
 	})
 }
 
-// foldTap mirrors the chaos harness's trace-hash fold (FNV-1a over the
-// previous hash and the traversal's observable fields), implemented as
-// straight arithmetic so leaving tracing on costs no allocations.
-func foldTap(h uint64, ev TapEvent) uint64 {
-	if h == 0 {
-		h = 1469598103934665603 // FNV offset basis
-	}
-	f := uint64(14695981039346656037)
+// FoldTrace folds one link traversal into a running trace hash: FNV-1a
+// over the previous hash and the traversal's time, endpoints, size and
+// drop bit, as straight arithmetic so tracing allocates nothing.
+func FoldTrace(h uint64, ev TapEvent) uint64 {
+	f := uint64(14695981039346656037) // FNV-64 offset basis
 	fold := func(v uint64) {
 		for i := 0; i < 8; i++ {
 			f = (f ^ uint64(byte(v>>(8*i)))) * 1099511628211
@@ -208,6 +205,16 @@ func foldTap(h uint64, ev TapEvent) uint64 {
 		fold(0)
 	}
 	return f
+}
+
+// foldTap is FoldTrace with a zero running hash replaced by a fixed seed,
+// so the first traversal folds differently. The seed is not the FNV-64
+// offset basis; recorded scenario hashes depend on it.
+func foldTap(h uint64, ev TapEvent) uint64 {
+	if h == 0 {
+		h = 1469598103934665603
+	}
+	return FoldTrace(h, ev)
 }
 
 // TraceHash folds the per-island hashes (in island order) and the cross
