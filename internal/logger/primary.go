@@ -196,6 +196,9 @@ type Primary struct {
 	dec wire.Decoder
 	// scratch is the reusable wire-encoding buffer (bindings copy).
 	scratch []byte
+	// gapScratch backs the store's missing-range queries (backfill NACKs,
+	// skip accounting, NACKs to the source).
+	gapScratch []wire.SeqRange
 	// mx caches the preregistered metric handles (all nil-safe).
 	mx primaryMetrics
 }
@@ -1053,7 +1056,8 @@ func (p *Primary) onPeerStateReply(from transport.Addr, pkt *wire.Packet) {
 		p.finishBackfill(bf)
 		return
 	}
-	ranges := st.store.Missing(bf.floor, wire.MaxNackRanges)
+	p.gapScratch = st.store.AppendMissing(p.gapScratch[:0], bf.floor, wire.MaxNackRanges)
+	ranges := p.gapScratch
 	if len(ranges) == 0 {
 		p.finishBackfill(bf)
 		return
@@ -1089,7 +1093,8 @@ func (p *Primary) skipBackfillHole(st *priStream, floor uint64) {
 		return
 	}
 	missing := uint64(0)
-	for _, r := range st.store.Missing(floor, 0) {
+	p.gapScratch = st.store.AppendMissing(p.gapScratch[:0], floor, 0)
+	for _, r := range p.gapScratch {
 		missing += r.Count()
 	}
 	st.store.Advance(floor)
@@ -1114,7 +1119,7 @@ func (p *Primary) checkGapsUpTo(st *priStream, hi uint64) {
 	if hi < st.store.Highest() {
 		hi = st.store.Highest()
 	}
-	if len(st.store.Missing(hi, 1)) == 0 && len(st.pendingReq) == 0 {
+	if hi <= st.store.Contiguous() && len(st.pendingReq) == 0 {
 		return
 	}
 	if st.nackTimer != nil || st.retryTimer != nil {
@@ -1134,7 +1139,8 @@ func (p *Primary) fetchFromSource(st *priStream, hi uint64) {
 	if hi < st.store.Highest() {
 		hi = st.store.Highest()
 	}
-	ranges := st.store.Missing(hi, wire.MaxNackRanges)
+	p.gapScratch = st.store.AppendMissing(p.gapScratch[:0], hi, wire.MaxNackRanges)
+	ranges := p.gapScratch
 	// A hole under an active backfill floor belongs to the peer replicas,
 	// not the source: the source has released everything at or below the
 	// floor and can never serve it.

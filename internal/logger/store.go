@@ -279,15 +279,9 @@ func (s *Store) Contiguous() uint64 { return s.track.Contiguous() }
 // Highest returns the largest sequence number seen.
 func (s *Store) Highest() uint64 { return s.track.Highest() }
 
-// Missing returns up to maxRanges ranges of sequence numbers in
-// (Base, hi] that have not been seen. hi of 0 means Highest().
-func (s *Store) Missing(hi uint64, maxRanges int) []wire.SeqRange {
-	return s.track.Missing(hi, maxRanges)
-}
-
-// AppendMissing appends the missing ranges to dst and returns the
-// extended slice — the allocation-free form of Missing for hot callers
-// that reuse a scratch slice (see seqtrack.Tracker.AppendMissing).
+// AppendMissing appends up to maxRanges ranges of sequence numbers in
+// (Contiguous, hi] that have not been seen to dst and returns the extended
+// slice (see seqtrack.Tracker.AppendMissing). hi of 0 means Highest().
 func (s *Store) AppendMissing(dst []wire.SeqRange, hi uint64, maxRanges int) []wire.SeqRange {
 	return s.track.AppendMissing(dst, hi, maxRanges)
 }

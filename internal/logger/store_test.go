@@ -56,10 +56,10 @@ func TestStoreContiguityAndMissing(t *testing.T) {
 	if s.Highest() != 7 {
 		t.Fatalf("Highest = %d, want 7", s.Highest())
 	}
-	miss := s.Missing(0, 0)
+	miss := s.AppendMissing(nil, 0, 0)
 	want := []wire.SeqRange{{From: 3, To: 4}, {From: 6, To: 6}}
 	if len(miss) != len(want) || miss[0] != want[0] || miss[1] != want[1] {
-		t.Fatalf("Missing = %v, want %v", miss, want)
+		t.Fatalf("AppendMissing = %v, want %v", miss, want)
 	}
 	// Fill the first gap: contiguity advances through the already-seen 5.
 	s.Put(3, nil, tBase)
@@ -68,10 +68,10 @@ func TestStoreContiguityAndMissing(t *testing.T) {
 		t.Fatalf("Contiguous = %d after fill, want 5", s.Contiguous())
 	}
 	// Missing beyond highest via explicit hi.
-	miss = s.Missing(9, 0)
+	miss = s.AppendMissing(nil, 9, 0)
 	want = []wire.SeqRange{{From: 6, To: 6}, {From: 8, To: 9}}
 	if len(miss) != 2 || miss[0] != want[0] || miss[1] != want[1] {
-		t.Fatalf("Missing(9) = %v, want %v", miss, want)
+		t.Fatalf("AppendMissing(9) = %v, want %v", miss, want)
 	}
 }
 
@@ -81,8 +81,8 @@ func TestStoreMissingRangeCap(t *testing.T) {
 	for seq := uint64(1); seq <= 41; seq += 2 {
 		s.Put(seq, nil, tBase)
 	}
-	if got := s.Missing(0, 5); len(got) != 5 {
-		t.Fatalf("Missing cap: got %d ranges, want 5", len(got))
+	if got := s.AppendMissing(nil, 0, 5); len(got) != 5 {
+		t.Fatalf("AppendMissing cap: got %d ranges, want 5", len(got))
 	}
 }
 
@@ -171,7 +171,7 @@ func TestStoreContiguityProperty(t *testing.T) {
 		for _, seq := range order {
 			s.Put(seq, nil, tBase)
 		}
-		return s.Contiguous() == uint64(n) && len(s.Missing(0, 0)) == 0
+		return s.Contiguous() == uint64(n) && len(s.AppendMissing(nil, 0, 0)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestStoreMissingComplementProperty(t *testing.T) {
 			s.Put(uint64(q%200)+1, nil, tBase)
 		}
 		missing := map[uint64]bool{}
-		for _, r := range s.Missing(0, 0) {
+		for _, r := range s.AppendMissing(nil, 0, 0) {
 			for q := r.From; q <= r.To; q++ {
 				missing[q] = true
 			}
@@ -385,7 +385,7 @@ func TestStoreBelowBaseBackfill(t *testing.T) {
 	if s.Contiguous() != 110 {
 		t.Fatalf("Contiguous = %d, want 110", s.Contiguous())
 	}
-	if len(s.Missing(0, 0)) != 0 {
+	if len(s.AppendMissing(nil, 0, 0)) != 0 {
 		t.Fatal("backfill created phantom gaps")
 	}
 	// The live ring keeps working after backfill.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"lbrm/internal/logger"
+	"lbrm/internal/wire"
 )
 
 // benchStart pins the store timestamps so age-based retention never kicks
@@ -80,10 +81,11 @@ func StoreMissingSteady(b *testing.B) {
 	for seq := uint64(1); seq <= 1024; seq++ {
 		s.Put(seq, nil, benchStart)
 	}
+	var m []wire.SeqRange
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if m := s.Missing(0, 0); len(m) != 0 {
+		if m = s.AppendMissing(m[:0], 0, 0); len(m) != 0 {
 			b.Fatal("unexpected gaps")
 		}
 	}

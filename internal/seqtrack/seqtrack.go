@@ -1,7 +1,7 @@
 // Package seqtrack implements the sequence-number bookkeeping shared by
 // every LBRM endpoint that watches a stream: the contiguity watermark, the
-// sparse set of out-of-order arrivals, the late-join base (history a
-// mid-stream joiner deliberately skips), and gap (missing-range)
+// out-of-order arrivals above it (kept as sorted runs), the late-join base
+// (history a mid-stream joiner deliberately skips), and gap (missing-range)
 // computation. The log store, the receiver, and the SRM baseline all track
 // streams through this one type.
 //
@@ -11,6 +11,7 @@
 package seqtrack
 
 import (
+	"cmp"
 	"slices"
 
 	"lbrm/internal/wire"
@@ -22,10 +23,12 @@ type Tracker struct {
 	base      uint64
 	contig    uint64
 	highest   uint64
-	seen      map[uint64]bool
-	// keyScratch is reused by AppendMissing so steady-state gap
-	// computation (NACK build, heartbeat check) does not allocate.
-	keyScratch []uint64
+	// runs holds the marked sequence numbers above contig as sorted,
+	// disjoint, non-adjacent inclusive runs; runs[0].From > contig+1.
+	// State is bounded by the number of holes, not by the backlog behind
+	// them, and the backing array is reused so steady state allocates
+	// nothing.
+	runs []wire.SeqRange
 }
 
 // Contacted reports whether the stream has been seen at all (any Mark or
@@ -58,47 +61,73 @@ func (t *Tracker) SetBase(seq uint64) bool {
 }
 
 // Mark records seq as seen. It returns false for 0, for duplicates, and
-// for sequence numbers at or below the base watermark.
+// for sequence numbers at or below the base watermark. An in-order
+// arrival, or one that extends the last run, is O(1); any other costs a
+// binary search plus at most one insert or merge.
 func (t *Tracker) Mark(seq uint64) bool {
-	if seq == 0 || t.Seen(seq) {
+	if seq <= t.contig { // seq 0 included
 		return false
+	}
+	n := len(t.runs)
+	switch {
+	case seq == t.contig+1:
+		t.contig = seq
+		if n > 0 && t.runs[0].From-1 == seq {
+			t.contig = t.runs[0].To
+			t.runs = slices.Delete(t.runs, 0, 1)
+		}
+	case n == 0 || t.runs[n-1].To < seq-1:
+		t.runs = append(t.runs, wire.SeqRange{From: seq, To: seq})
+	case t.runs[n-1].To == seq-1:
+		t.runs[n-1].To = seq
+	default:
+		i := t.search(seq - 1)
+		r := &t.runs[i]
+		switch {
+		case r.From <= seq && seq <= r.To:
+			return false
+		case r.To == seq-1: // extends run i; may close the hole to i+1
+			r.To = seq // i < n-1: the last run ends above seq
+			if t.runs[i+1].From-1 == seq {
+				r.To = t.runs[i+1].To
+				t.runs = slices.Delete(t.runs, i+1, i+2)
+			}
+		case r.From-1 == seq:
+			r.From = seq
+		default:
+			t.runs = slices.Insert(t.runs, i, wire.SeqRange{From: seq, To: seq})
+		}
 	}
 	t.contacted = true
 	if seq > t.highest {
 		t.highest = seq
 	}
-	if seq == t.contig+1 {
-		t.contig++
-		for t.seen[t.contig+1] {
-			t.contig++
-			delete(t.seen, t.contig)
-		}
-		return true
-	}
-	if t.seen == nil {
-		t.seen = make(map[uint64]bool)
-	}
-	t.seen[seq] = true
 	return true
+}
+
+// search returns the index of the first run ending at or above seq
+// (len(runs) when none does).
+func (t *Tracker) search(seq uint64) int {
+	i, _ := slices.BinarySearchFunc(t.runs, seq, func(r wire.SeqRange, q uint64) int { return cmp.Compare(r.To, q) })
+	return i
 }
 
 // Seen reports whether seq has been marked (or skipped by the base).
 func (t *Tracker) Seen(seq uint64) bool {
-	return seq <= t.contig || t.seen[seq]
+	if seq <= t.contig {
+		return true
+	}
+	i := t.search(seq)
+	return i < len(t.runs) && t.runs[i].From <= seq
 }
 
-// Missing returns up to maxRanges ranges of unmarked sequence numbers in
-// (Contiguous, hi]. hi of 0 means Highest(); maxRanges ≤ 0 means
-// wire.MaxNackRanges. Cost is O(pending·log pending), independent of the
-// width of the gaps — a forged sequence number cannot make this expensive.
-func (t *Tracker) Missing(hi uint64, maxRanges int) []wire.SeqRange {
-	return t.AppendMissing(nil, hi, maxRanges)
-}
-
-// AppendMissing appends the missing ranges to dst and returns the extended
-// slice (see Missing for the range semantics). Callers on hot paths pass a
-// reused dst (typically dst[:0]) to make gap computation allocation-free;
-// the sort scratch is retained on the Tracker for the same reason.
+// AppendMissing appends up to maxRanges ranges of unmarked sequence
+// numbers in (Contiguous, hi], in ascending order, to dst and returns the
+// extended slice. hi of 0 means Highest(); maxRanges ≤ 0 means
+// wire.MaxNackRanges. It walks the runs, so its cost is O(ranges
+// returned), independent of the backlog and of the width of the gaps — a
+// forged sequence number cannot make it expensive. Hot callers pass a
+// reused dst (typically dst[:0]) to make gap computation allocation-free.
 func (t *Tracker) AppendMissing(dst []wire.SeqRange, hi uint64, maxRanges int) []wire.SeqRange {
 	if hi == 0 {
 		hi = t.highest
@@ -109,29 +138,19 @@ func (t *Tracker) AppendMissing(dst []wire.SeqRange, hi uint64, maxRanges int) [
 	if hi <= t.contig {
 		return dst
 	}
-	keys := t.keyScratch[:0]
-	for q := range t.seen {
-		if q > t.contig && q <= hi {
-			keys = append(keys, q)
-		}
-	}
-	t.keyScratch = keys
-	slices.Sort(keys) // generic sort: no closure, no boxing, no alloc
 	base := len(dst)
 	next := t.contig + 1
-	for _, k := range keys {
-		if k > next {
-			dst = append(dst, wire.SeqRange{From: next, To: k - 1})
-			if len(dst)-base == maxRanges {
-				return dst
-			}
+	for _, r := range t.runs {
+		if r.From > hi {
+			break
 		}
-		next = k + 1
+		dst = append(dst, wire.SeqRange{From: next, To: r.From - 1})
+		if len(dst)-base == maxRanges || r.To >= hi {
+			return dst
+		}
+		next = r.To + 1
 	}
-	if next <= hi {
-		dst = append(dst, wire.SeqRange{From: next, To: hi})
-	}
-	return dst
+	return append(dst, wire.SeqRange{From: next, To: hi})
 }
 
 // Advance force-skips history: every sequence number up to and including
@@ -148,20 +167,20 @@ func (t *Tracker) Advance(seq uint64) {
 	if seq > t.highest {
 		t.highest = seq
 	}
-	for q := range t.seen {
-		if q <= seq {
-			delete(t.seen, q)
-		}
+	i := t.search(seq)
+	if i < len(t.runs) && t.runs[i].From-1 <= seq {
+		t.contig = t.runs[i].To
+		i++
 	}
-	for t.seen[t.contig+1] {
-		t.contig++
-		delete(t.seen, t.contig)
-	}
-	if t.contig > t.highest {
-		t.highest = t.contig
-	}
+	t.runs = slices.Delete(t.runs, 0, i)
 }
 
 // Pending returns the number of out-of-order sequence numbers held above
-// the contiguity watermark (a memory gauge).
-func (t *Tracker) Pending() int { return len(t.seen) }
+// the contiguity watermark.
+func (t *Tracker) Pending() int {
+	n := 0
+	for _, r := range t.runs {
+		n += int(r.Count())
+	}
+	return n
+}

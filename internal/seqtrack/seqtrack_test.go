@@ -80,15 +80,15 @@ func TestMissingRangesAndCaps(t *testing.T) {
 	for _, q := range []uint64{1, 4, 5, 9} {
 		tr.Mark(q)
 	}
-	got := tr.Missing(0, 0)
+	got := tr.AppendMissing(nil, 0, 0)
 	want := []wire.SeqRange{{From: 2, To: 3}, {From: 6, To: 8}}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("Missing = %v, want %v", got, want)
+		t.Fatalf("AppendMissing = %v, want %v", got, want)
 	}
-	if got := tr.Missing(12, 0); got[len(got)-1] != (wire.SeqRange{From: 10, To: 12}) {
-		t.Fatalf("Missing(12) tail = %v", got)
+	if got := tr.AppendMissing(nil, 12, 0); got[len(got)-1] != (wire.SeqRange{From: 10, To: 12}) {
+		t.Fatalf("AppendMissing(12) tail = %v", got)
 	}
-	if got := tr.Missing(0, 1); len(got) != 1 {
+	if got := tr.AppendMissing(nil, 0, 1); len(got) != 1 {
 		t.Fatalf("cap ignored: %v", got)
 	}
 }
@@ -112,7 +112,7 @@ func TestPermutationProperty(t *testing.T) {
 		}
 		return tr.Contiguous() == base+uint64(n) &&
 			tr.Pending() == 0 &&
-			len(tr.Missing(0, 0)) == 0 &&
+			len(tr.AppendMissing(nil, 0, 0)) == 0 &&
 			tr.Highest() == base+uint64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -132,7 +132,7 @@ func TestComplementProperty(t *testing.T) {
 			tr.Mark(base + uint64(q%150) + 1)
 		}
 		missing := map[uint64]bool{}
-		for _, r := range tr.Missing(0, 0) {
+		for _, r := range tr.AppendMissing(nil, 0, 0) {
 			for q := r.From; q <= r.To; q++ {
 				missing[q] = true
 			}
@@ -172,7 +172,7 @@ func TestInvariantProperty(t *testing.T) {
 				return false
 			}
 			prev := uint64(0)
-			for _, r := range tr.Missing(0, 0) {
+			for _, r := range tr.AppendMissing(nil, 0, 0) {
 				if r.From <= prev || r.To < r.From {
 					return false
 				}
@@ -191,9 +191,9 @@ func TestMissingIsCheapForHugeGaps(t *testing.T) {
 	tr.Mark(1)
 	tr.Mark(1 << 60) // forged/hostile head
 	// Must return instantly (O(pending)) with the capped range set.
-	got := tr.Missing(0, 3)
+	got := tr.AppendMissing(nil, 0, 3)
 	if len(got) != 1 || got[0].From != 2 || got[0].To != (1<<60)-1 {
-		t.Fatalf("Missing = %v", got)
+		t.Fatalf("AppendMissing = %v", got)
 	}
 }
 

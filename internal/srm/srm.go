@@ -93,6 +93,8 @@ type Member struct {
 	seq   uint64 // source: last sent
 	cache map[uint64][]byte
 	track seqtrack.Tracker
+	// gapScratch backs detectLosses' missing-range query.
+	gapScratch []wire.SeqRange
 
 	// pending repair requests (we are missing the packet).
 	reqTimers map[uint64]*srmTimer
@@ -243,7 +245,8 @@ func (m *Member) detectLosses(hi uint64) {
 		m.track.Advance(hi - srmWindow)
 	}
 	now := m.env.Now()
-	for _, rg := range m.track.Missing(hi, 0) {
+	m.gapScratch = m.track.AppendMissing(m.gapScratch[:0], hi, 0)
+	for _, rg := range m.gapScratch {
 		for seq := rg.From; seq <= rg.To; seq++ {
 			if m.reqTimers[seq] != nil {
 				continue

@@ -76,10 +76,19 @@ func (s *Sim) Now() time.Time { return s.now }
 // AfterFunc implements Clock. The callback runs when simulated time reaches
 // now+d during a subsequent (or the current) Run call.
 func (s *Sim) AfterFunc(d time.Duration, fn func()) Timer {
+	return s.AfterFuncUnless(d, nil, fn)
+}
+
+// AfterFuncUnless is AfterFunc with a guard read at fire time: if *skip
+// is then true, the event still fires and counts as executed, but fn is
+// not called. It spares a caller that must silence a whole set of timers
+// at once (netsim's crashed handlers) a guarding closure per timer. A nil
+// skip never skips.
+func (s *Sim) AfterFuncUnless(d time.Duration, skip *bool, fn func()) Timer {
 	if fn == nil {
 		panic("vtime: AfterFunc with nil callback")
 	}
-	ev := &event{sim: s}
+	ev := &event{sim: s, skip: skip}
 	s.arm(ev, d, fn)
 	return ev
 }
@@ -178,7 +187,9 @@ func (s *Sim) step() bool {
 		ev.fn = nil
 		s.free = append(s.free, ev)
 	}
-	fn()
+	if ev.skip == nil || !*ev.skip {
+		fn()
+	}
 	return true
 }
 
@@ -197,8 +208,9 @@ func (s *Sim) exit() { s.running = false }
 type scheduler interface {
 	// schedule inserts a freshly created event.
 	schedule(ev *event)
-	// reschedule re-inserts ev after Reset updated at/atNS/seq/gen.
-	reschedule(ev *event)
+	// reschedule re-queues ev after Reset updated at/atNS/seq; later
+	// reports that ev was pending and its deadline did not move earlier.
+	reschedule(ev *event, later bool)
 	// pop removes and returns the earliest live event, or nil.
 	pop() *event
 	// peek returns the earliest live event without removing it, or nil.
@@ -211,8 +223,11 @@ type event struct {
 	atNS int64 // at relative to the sim epoch, for the wheel
 	seq  uint64
 	fn   func()
-	// gen invalidates stale wheel entries: Reset bumps it, so entries
-	// recorded under an older generation are discarded when encountered.
+	skip *bool // AfterFuncUnless guard: fn is not called while *skip
+	// gen invalidates stale wheel entries: it is bumped whenever the event
+	// is queued afresh (a Reset the wheel cannot absorb, a recycled Post
+	// record), so entries recorded under an older generation are discarded
+	// when encountered.
 	gen     uint32
 	index   int // heap scheduler bookkeeping
 	stopped bool
@@ -240,16 +255,16 @@ func (ev *event) Reset(d time.Duration) bool {
 		d = 0
 	}
 	wasPending := !ev.stopped && !ev.fired
+	prevNS := ev.atNS
 	ev.at = s.now.Add(d)
 	ev.atNS = ev.at.Sub(s.start).Nanoseconds()
 	ev.seq = s.nextSeq
 	s.nextSeq++
-	ev.gen++
 	if !wasPending {
 		ev.stopped, ev.fired = false, false
 		s.pending++
 	}
-	s.sched.reschedule(ev)
+	s.sched.reschedule(ev, wasPending && ev.atNS >= prevNS)
 	return wasPending
 }
 
@@ -261,7 +276,7 @@ type heapSched struct {
 
 func (h *heapSched) schedule(ev *event) { heap.Push(&h.queue, ev) }
 
-func (h *heapSched) reschedule(ev *event) {
+func (h *heapSched) reschedule(ev *event, _ bool) {
 	if ev.inHeap {
 		heap.Fix(&h.queue, ev.index)
 	} else {

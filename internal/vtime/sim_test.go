@@ -379,3 +379,25 @@ func TestRealTimerReset(t *testing.T) {
 		t.Fatal("re-armed real timer never fired")
 	}
 }
+
+// TestAfterFuncUnless checks the fire-time guard: a guarded event fires
+// and counts as executed either way, but its callback runs only while the
+// guard is false — also across a Reset.
+func TestAfterFuncUnless(t *testing.T) {
+	for _, heap := range []bool{false, true} {
+		s := newWheelSim(epoch)
+		if heap {
+			s = newHeapSim(epoch)
+		}
+		var dead bool
+		calls := 0
+		tm := s.AfterFuncUnless(time.Millisecond, &dead, func() { calls++ })
+		s.Run()
+		dead = true
+		tm.Reset(time.Millisecond)
+		s.Run()
+		if calls != 1 || s.Executed() != 2 || s.Len() != 0 {
+			t.Fatalf("heap=%v: %d calls, %d executed, %d pending; want 1, 2, 0", heap, calls, s.Executed(), s.Len())
+		}
+	}
+}

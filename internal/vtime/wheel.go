@@ -11,9 +11,13 @@ import "math/bits"
 //
 // Entries are value records pointing at their event; Stop and Reset are
 // O(1) because invalidation is lazy — a stopped flag or a generation bump
-// makes the stale entry a no-op when its slot is eventually drained. Slot
-// slices are retained after draining, so the steady state allocates only
-// when a slot grows past its high-water mark.
+// makes the stale entry a no-op when its slot is eventually drained. A
+// Reset that moves a pending event later only re-keys the event: its
+// queued entry, now early, re-files itself under the event's current key
+// when it reaches the near heap, so a timer re-armed on every packet
+// holds one entry, not one per re-arm. Drained slot buffers go to a spare
+// list that empty slots draw from, so the steady state allocates only
+// when the busiest slots outgrow every buffer the wheel holds.
 //
 // Ordering contract (identical to the heap scheduler): events fire in
 // strict (atNS, seq) order. Entries at or before the cursor tick sit in a
@@ -36,8 +40,9 @@ const (
 )
 
 // entry is one scheduled occurrence of an event. atNS and seq are copied
-// at insert time so ordering is stable even if the event is later re-armed
-// (the gen check then discards this occurrence).
+// at insert time so ordering is stable even if the event is later re-armed:
+// an earlier deadline bumps gen, which discards this occurrence; a later
+// one leaves it live but early, and peek re-files it.
 type entry struct {
 	ev   *event
 	atNS int64
@@ -65,6 +70,10 @@ type wheelSched struct {
 
 	near     entryHeap
 	overflow entryHeap
+
+	// spare holds drained slot buffers, emptied, for empty slots to
+	// take before they grow a buffer of their own.
+	spare [][]entry
 }
 
 func newWheelSched() *wheelSched { return &wheelSched{} }
@@ -73,7 +82,32 @@ func (w *wheelSched) schedule(ev *event) {
 	w.insert(entry{ev: ev, atNS: ev.atNS, seq: ev.seq, gen: ev.gen})
 }
 
-func (w *wheelSched) reschedule(ev *event) { w.schedule(ev) }
+// reschedule keeps the queued entry of a pending event pushed later: no
+// Reset ever moved the event before that entry's key, so the entry
+// surfaces first and peek re-files it. Otherwise (an earlier deadline, or
+// nothing live queued) a new generation orphans any old entry and a fresh
+// one is queued.
+func (w *wheelSched) reschedule(ev *event, later bool) {
+	if !later {
+		ev.gen++
+		w.schedule(ev)
+	}
+}
+
+// add appends e to a wheel slot, giving an empty slot a spare buffer.
+func (w *wheelSched) add(slot *[]entry, e entry) {
+	if k := len(w.spare); *slot == nil && k > 0 {
+		*slot, w.spare = w.spare[k-1], w.spare[:k-1]
+	}
+	*slot = append(*slot, e)
+}
+
+// release returns a drained slot's buffer (never empty: its bit was set)
+// to the spare list, cleared so it pins no event.
+func (w *wheelSched) release(es []entry) {
+	clear(es)
+	w.spare = append(w.spare, es[:0])
+}
 
 func (w *wheelSched) insert(e entry) {
 	t := e.atNS >> tickShift
@@ -83,19 +117,19 @@ func (w *wheelSched) insert(e entry) {
 		w.near.push(e)
 	case t>>l1Shift == cur>>l1Shift:
 		s := t & l0Mask
-		w.l0[s] = append(w.l0[s], e)
+		w.add(&w.l0[s], e)
 		w.l0bits[s>>6] |= 1 << (s & 63)
 	case t>>l2Shift == cur>>l2Shift:
 		s := (t >> l1Shift) & lvMask
-		w.l1[s] = append(w.l1[s], e)
+		w.add(&w.l1[s], e)
 		w.l1bits |= 1 << s
 	case t>>l3Shift == cur>>l3Shift:
 		s := (t >> l2Shift) & lvMask
-		w.l2[s] = append(w.l2[s], e)
+		w.add(&w.l2[s], e)
 		w.l2bits |= 1 << s
 	case t>>ovShift == cur>>ovShift:
 		s := (t >> l3Shift) & lvMask
-		w.l3[s] = append(w.l3[s], e)
+		w.add(&w.l3[s], e)
 		w.l3bits |= 1 << s
 	default:
 		w.overflow.push(e)
@@ -103,28 +137,27 @@ func (w *wheelSched) insert(e entry) {
 }
 
 func (w *wheelSched) pop() *event {
-	for {
-		if len(w.near.es) > 0 {
-			e := w.near.popMin()
-			if e.live() {
-				return e.ev
-			}
-			continue
-		}
-		if !w.advance() {
-			return nil
-		}
+	ev := w.peek()
+	if ev != nil {
+		w.near.popMin()
 	}
+	return ev
 }
 
+// peek discards dead entries from the near heap's top and re-files live
+// ones its event has since moved past, until the top is due as keyed.
 func (w *wheelSched) peek() *event {
 	for {
 		if len(w.near.es) > 0 {
 			e := w.near.es[0]
-			if e.live() {
+			if !e.live() {
+				w.near.popMin()
+			} else if e.seq != e.ev.seq {
+				w.near.popMin()
+				w.schedule(e.ev) // same gen: the entry moves, it is not orphaned
+			} else {
 				return e.ev
 			}
-			w.near.popMin()
 			continue
 		}
 		if !w.advance() {
@@ -208,7 +241,8 @@ func (w *wheelSched) advance() bool {
 	}
 }
 
-// drainL0 moves slot s's live entries into the near heap and clears it.
+// drainL0 moves slot s's live entries into the near heap and releases
+// its buffer.
 func (w *wheelSched) drainL0(s int) {
 	slot := w.l0[s]
 	for _, e := range slot {
@@ -216,23 +250,23 @@ func (w *wheelSched) drainL0(s int) {
 			w.near.push(e)
 		}
 	}
-	w.l0[s] = slot[:0]
+	w.l0[s] = nil
 	w.l0bits[s>>6] &^= 1 << (s & 63)
+	w.release(slot)
 }
 
 // cascade redistributes a higher-level slot after the cursor entered its
 // window. Entries re-insert at a lower level (or near) by alignment.
 func (w *wheelSched) cascade(slot *[]entry, bitsWord *uint64, s int64) {
 	es := *slot
-	// Entries re-insert strictly below this level, never back into this
-	// slot, so the backing array can be truncated in place and reused.
-	*slot = es[:0]
+	*slot = nil
 	*bitsWord &^= 1 << s
 	for _, e := range es {
 		if e.live() {
 			w.insert(e)
 		}
 	}
+	w.release(es)
 }
 
 // migrateOverflow jumps the cursor to the overflow minimum's level-3

@@ -462,3 +462,107 @@ func TestPostMatchesHeapModel(t *testing.T) {
 		})
 	}
 }
+
+// TestWheelResetInterleavingsMatchHeap aims the differential at the
+// lazy re-key: timers are reset later than their current deadline (the
+// wheel keeps the queued entry and re-files it when it surfaces), reset
+// earlier (a new generation orphans the entry), stopped, reset after a
+// Stop, and reset from their own callbacks, with the clock advanced in
+// between across every wheel level. The wheel and the reference heap must
+// fire identically.
+func TestWheelResetInterleavingsMatchHeap(t *testing.T) {
+	horizons := []time.Duration{time.Millisecond, 300 * time.Millisecond, 20 * time.Second, 10 * time.Minute, 2 * time.Hour}
+	for seed := int64(1); seed <= 30; seed++ {
+		run := func(s *Sim) []firing {
+			rng := rand.New(rand.NewSource(seed))
+			draw := func() time.Duration { return time.Duration(rng.Int63n(int64(horizons[rng.Intn(len(horizons))]))) }
+			var order []firing
+			var timers []Timer
+			var due []time.Time
+			reset := func(i int, d time.Duration) {
+				timers[i].Reset(d)
+				due[i] = s.Now().Add(d)
+			}
+			for i := 0; i < 32; i++ {
+				d := draw()
+				timers = append(timers, s.AfterFunc(d, func() {
+					order = append(order, firing{id: i, at: s.Now()})
+					if rng.Intn(3) == 0 {
+						reset(i, draw())
+					}
+				}))
+				due = append(due, s.Now().Add(d))
+			}
+			for step := 0; step < 1500; step++ {
+				i := rng.Intn(len(timers))
+				left := max(due[i].Sub(s.Now()), 0)
+				switch rng.Intn(8) {
+				case 0, 1, 2:
+					reset(i, left+draw())
+				case 3:
+					reset(i, time.Duration(rng.Int63n(int64(left)+1)))
+				case 4:
+					timers[i].Stop()
+				default:
+					s.RunFor(draw() / 8)
+				}
+			}
+			s.Run()
+			return order
+		}
+		wheel, heap := run(newWheelSim(epoch)), run(newHeapSim(epoch))
+		if len(wheel) != len(heap) {
+			t.Fatalf("seed %d: firing count diverged: wheel %d heap %d", seed, len(wheel), len(heap))
+		}
+		for i := range wheel {
+			if wheel[i] != heap[i] {
+				t.Fatalf("seed %d: firing %d diverged: wheel %+v heap %+v", seed, i, wheel[i], heap[i])
+			}
+		}
+	}
+}
+
+// queued counts the entries held anywhere in the wheel, live or stale.
+func (w *wheelSched) queued() int {
+	n := len(w.near.es) + len(w.overflow.es)
+	for s := range w.l0 {
+		n += len(w.l0[s])
+	}
+	for s := range w.l1 {
+		n += len(w.l1[s]) + len(w.l2[s]) + len(w.l3[s])
+	}
+	return n
+}
+
+// TestWheelLaterResetKeepsOneEntry pins the staleness-timer pattern: a
+// pending timer pushed later on every packet keeps its one queued entry
+// instead of leaving one stale entry per re-arm, and still fires once, at
+// its last deadline.
+func TestWheelLaterResetKeepsOneEntry(t *testing.T) {
+	s := newWheelSim(epoch)
+	w := s.sched.(*wheelSched)
+	var fired []time.Time
+	tm := s.AfterFunc(time.Second, func() { fired = append(fired, s.Now()) })
+	// A packet every 50µs re-arms the timer, as Receiver.touch does. The
+	// count is taken inside the last packet: the packets keep the cursor
+	// near, so no scan for the next live event has swept stale entries.
+	packets, queued := 0, 0
+	var want time.Time
+	var packet func()
+	packet = func() {
+		tm.Reset(time.Second)
+		if packets++; packets < 10000 {
+			s.Post(50*time.Microsecond, packet)
+			return
+		}
+		queued, want = w.queued(), s.Now().Add(time.Second)
+	}
+	s.Post(50*time.Microsecond, packet)
+	s.Run()
+	if queued > 1 {
+		t.Fatalf("%d entries queued after 10000 later Resets of one timer, want ≤ 1", queued)
+	}
+	if len(fired) != 1 || !fired[0].Equal(want) {
+		t.Fatalf("fired at %v, want once at %v", fired, want)
+	}
+}
